@@ -9,8 +9,11 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q (workspace)"
-cargo test -q
+echo "==> cargo test --workspace -q"
+# The root manifest is itself a package, so a bare `cargo test` would only
+# test openforhire-suite; --workspace also runs every crate's unit tests
+# and crates/*/tests suites.
+cargo test --workspace -q
 
 echo "==> determinism suite, --test-threads=1 (release, includes standard profile)"
 cargo test --release -q --test parallel_determinism --test determinism -- --test-threads=1 --include-ignored
@@ -36,17 +39,24 @@ echo "==> chaos smoke: hostile schedule, workers 1 vs 8, byte-for-byte"
 cmp "$OBS_TMP/chaos_w1.txt" "$OBS_TMP/chaos_w8.txt"
 echo "    reports identical under faults at workers 1 and 8"
 
-echo "==> paper-scale smoke: 2^32 universe preset + event-core test suites"
+echo "==> paper-smoke: report, store and snapshot invariant across workers"
 # paper-smoke is the down-sampled twin of paper-scale: the full IPv4 address
 # space with a CI-sized population, exercising the indexed target space, the
 # timer wheel and the streaming (first-touch) host population end to end.
-# Workers 1 vs 4 must still be byte-for-byte.
-./target/release/openforhire study --preset paper-smoke --workers 1 \
-    > "$OBS_TMP/paper_w1.txt"
-./target/release/openforhire study --preset paper-smoke --workers 4 \
-    > "$OBS_TMP/paper_w4.txt"
+# One run per worker count emits every artifact; workers 1 vs 4 must give a
+# byte-identical report and store, and snapshots whose deterministic
+# sections match (`obsdiff` exits 0).
+for W in 1 4; do
+    ./target/release/openforhire study --preset paper-smoke --workers "$W" \
+        --store-out "$OBS_TMP/paper_w$W.store" --metrics-out "$OBS_TMP/paper_w$W.json" \
+        > "$OBS_TMP/paper_w$W.txt"
+done
 cmp "$OBS_TMP/paper_w1.txt" "$OBS_TMP/paper_w4.txt"
 echo "    paper-smoke reports identical at workers 1 and 4"
+cmp "$OBS_TMP/paper_w1.store" "$OBS_TMP/paper_w4.store"
+echo "    paper-smoke stores byte-identical at workers 1 and 4"
+./target/release/openforhire obsdiff "$OBS_TMP/paper_w1.json" "$OBS_TMP/paper_w4.json"
+echo "    paper-smoke snapshots: deterministic sections identical (exit 0)"
 cargo test --release -q -p ofh-net --test wheel_props --test lazy_hosts
 cargo test --release -q --test parallel_determinism implicit_population_matches_eager
 
@@ -68,17 +78,10 @@ for SHARDS in 16 64; do
     echo "    shards=$SHARDS: reports identical at workers {1, $WORKERS_AXIS}"
 done
 
-echo "==> store-smoke: columnar store determinism + query engine + latency budget"
-# The store file is a pure function of (seed, shards): paper-smoke written at
-# workers 1 and 4 must be byte-identical. Then the query CLI runs against the
-# written file, the re-rendered Table 4 must match the live study's, and a
-# 10k-query mini workload must hold a (generous) point-lookup p99 budget.
-./target/release/openforhire study --preset paper-smoke --workers 1 \
-    --store-out "$OBS_TMP/paper_w1.store" >/dev/null
-./target/release/openforhire study --preset paper-smoke --workers 4 \
-    --store-out "$OBS_TMP/paper_w4.store" >/dev/null
-cmp "$OBS_TMP/paper_w1.store" "$OBS_TMP/paper_w4.store"
-echo "    paper-smoke stores byte-identical at workers 1 and 4"
+echo "==> store-smoke: query engine over the paper-smoke store + latency budget"
+# The query CLI runs against the store written above, the re-rendered
+# Table 4 must match the live study's, and a 10k-query mini workload must
+# hold a (generous) point-lookup p99 budget.
 ./target/release/openforhire query --store "$OBS_TMP/paper_w1.store" info >/dev/null
 ./target/release/openforhire query --store "$OBS_TMP/paper_w1.store" table 4 \
     > "$OBS_TMP/store_table4.txt"
@@ -92,20 +95,12 @@ grep -q '"class": "point"' "$OBS_TMP/query.json"
 echo "    10k-query mini workload within p99 budget"
 
 echo "==> obs-gate: regression sentinel + flight recorder smoke"
-# Regression sentinel: two same-seed paper-smoke runs at different worker
-# counts must produce snapshots whose deterministic sections are
-# byte-identical — `obsdiff` exits 0. Perturbing one deterministic counter
-# must flip it to a nonzero exit. Then a fault-windowed run with the flight
-# recorder armed must leave per-shard flight-*.jsonl dumps behind.
-./target/release/openforhire study --preset paper-smoke --workers 1 \
-    --metrics-out "$OBS_TMP/obs_a.json" >/dev/null
-./target/release/openforhire study --preset paper-smoke --workers 4 \
-    --metrics-out "$OBS_TMP/obs_b.json" >/dev/null
-./target/release/openforhire obsdiff "$OBS_TMP/obs_a.json" "$OBS_TMP/obs_b.json"
-echo "    same-seed snapshots: deterministic sections identical (exit 0)"
+# Perturbing one deterministic counter in the paper-smoke snapshot must
+# flip `obsdiff` to a nonzero exit. Then a fault-windowed run with the
+# flight recorder armed must leave per-shard flight-*.jsonl dumps behind.
 sed 's/"net.events_processed":[0-9]*/"net.events_processed":1/' \
-    "$OBS_TMP/obs_a.json" > "$OBS_TMP/obs_perturbed.json"
-if ./target/release/openforhire obsdiff "$OBS_TMP/obs_a.json" "$OBS_TMP/obs_perturbed.json" \
+    "$OBS_TMP/paper_w1.json" > "$OBS_TMP/obs_perturbed.json"
+if ./target/release/openforhire obsdiff "$OBS_TMP/paper_w1.json" "$OBS_TMP/obs_perturbed.json" \
     > /dev/null 2>&1; then
     echo "    ERROR: obsdiff accepted a perturbed deterministic counter" >&2
     exit 1

@@ -1,30 +1,25 @@
 //! Hot-path microbenchmarks backing DESIGN.md's "Hot-path memory model":
-//! event-queue throughput, pooled payloads vs `Vec` clones, cached probe
-//! templates vs per-address encodes, and the dense / hashmap / naive banner
-//! matchers.
+//! event-queue throughput, cached probe templates vs per-address encodes,
+//! the dense-table banner matcher against the naive oracle, and the
+//! quick-preset cost of the observability and fault knobs.
 //!
 //! Unlike the criterion benches, this harness also *records* its headline
 //! numbers: bench mode rewrites `BENCH_hotpath.json` at the workspace root.
-//! Set `BENCH_FULL=1` to additionally time a full-preset study run (about a
-//! minute) so the JSON carries the end-to-end wall clock next to the pre-PR
-//! baseline. Under `cargo bench ... -- --test` (how ci.sh smokes the bench
-//! suite) every body runs exactly once and nothing is written.
+//! Whole-study wall clocks are not timed here; `e2ebench/` owns those.
+//! Under `cargo bench ... -- --test` (how ci.sh smokes the bench suite)
+//! every body runs exactly once and nothing is written.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use ofh_core::{Study, StudyConfig};
 use ofh_fingerprint::matcher::naive_find_all;
-use ofh_fingerprint::{AhoCorasick, SparseAhoCorasick};
+use ofh_fingerprint::AhoCorasick;
 use ofh_honeypots::WildHoneypot;
 use ofh_net::event::{EventQueue, HeapQueue};
-use ofh_net::{Payload, PayloadBuilder, SimTime, TimerWheel};
+use ofh_net::{SimTime, TimerWheel};
 use ofh_scan::probe;
 use ofh_wire::Protocol;
-
-/// Full-preset `full_run` wall clock at the commit before this PR
-/// (seed 7, 1 worker, this container) — the ≥25% improvement target.
-const FULL_RUN_BASELINE_S: f64 = 64.8;
 
 struct Harness {
     smoke: bool,
@@ -150,59 +145,6 @@ fn main() {
         );
     }
 
-    // ---- Payload pool vs Vec clone --------------------------------------
-    let datagram = vec![0x42u8; 600];
-    h.time("payload/vec_clone_600B", || black_box(&datagram).clone());
-    // 600 B is below POOL_MIN_CAPACITY, so freeze seals this as a plain
-    // shared Vec and the buffer never cycles through the pool (the
-    // builder still pays one pool probe in new(); the per-size policy
-    // comparison is the payload_crossover grid below).
-    h.time("payload/pooled_roundtrip_600B", || {
-        let mut b = PayloadBuilder::new();
-        b.extend_from_slice(black_box(&datagram));
-        b.freeze()
-    });
-    let shared: Payload = datagram.clone().into();
-    h.time("payload/shared_clone_600B", || black_box(&shared).clone());
-
-    // ---- Pool crossover grid --------------------------------------------
-    // Both payload paths at each size: `plain` allocates a fresh Vec and
-    // seals it shared; `pool` recycles a pooled buffer (reserving
-    // POOL_MIN_CAPACITY keeps the build pool-eligible at every size, so
-    // the grid measures the mechanism, not freeze's policy). The recorded
-    // crossover — the first size where the pool wins — is what
-    // POOL_MIN_CAPACITY is set from.
-    let grid_sizes: [usize; 6] = [64, 256, 1024, 4096, 16384, 65536 - 64];
-    let mut crossover_rows: Vec<(usize, f64, f64)> = Vec::new();
-    for &size in &grid_sizes {
-        let data = vec![0x42u8; size];
-        let plain_name = format!("payload/plain_roundtrip_{size}B");
-        let pool_name = format!("payload/pool_roundtrip_{size}B");
-        h.time(&plain_name, || Payload::from(black_box(&data).clone()));
-        h.time(&pool_name, || {
-            let mut b = PayloadBuilder::new();
-            b.reserve(ofh_net::POOL_MIN_CAPACITY.max(black_box(&data).len()));
-            b.extend_from_slice(&data);
-            b.freeze()
-        });
-        if let (Some(plain), Some(pool)) =
-            (bench_ns(&h, &plain_name), bench_ns(&h, &pool_name))
-        {
-            crossover_rows.push((size, plain, pool));
-        }
-    }
-    let crossover_b = crossover_rows
-        .iter()
-        .find(|(_, plain, pool)| pool < plain)
-        .map(|&(size, _, _)| size);
-    if !h.smoke {
-        println!(
-            "bench payload: pool wins from {} (POOL_MIN_CAPACITY = {})",
-            crossover_b.map_or("never".into(), |s| format!("{s} B")),
-            ofh_net::POOL_MIN_CAPACITY
-        );
-    }
-
     // ---- Probe templates vs per-address encodes -------------------------
     let templates = probe::ProbeTemplates::new();
     let mut mid = 0u16;
@@ -221,13 +163,12 @@ fn main() {
         templates.tcp_opening(Protocol::Mqtt)
     });
 
-    // ---- Banner matching: dense vs hashmap-goto vs naive ----------------
+    // ---- Banner matching: dense table vs naive --------------------------
     let patterns: Vec<Vec<u8>> = WildHoneypot::ALL
         .iter()
         .map(|f| f.signature().to_vec())
         .collect();
     let dense = AhoCorasick::new(&patterns);
-    let sparse = SparseAhoCorasick::new(&patterns);
     // A realistic corpus: mostly non-matching device banners, a few hits.
     let mut corpus: Vec<Vec<u8>> = (0..64u32)
         .map(|i| {
@@ -243,9 +184,6 @@ fn main() {
     let bytes: usize = corpus.iter().map(Vec::len).sum();
     h.time("match/dense_table", || {
         corpus.iter().map(|b| dense.find_all(b).len()).sum::<usize>()
-    });
-    h.time("match/hashmap_goto", || {
-        corpus.iter().map(|b| sparse.find_all(b).len()).sum::<usize>()
     });
     h.time("match/naive", || {
         corpus
@@ -359,102 +297,17 @@ fn main() {
         Some((none_s, hostile_s, pct))
     };
 
-    // ---- Paper-scale presets --------------------------------------------
-    // paper-smoke is the CI-sized twin of paper-scale: same 2^32 universe,
-    // down-sampled population. Cheap enough to time on every bench run.
-    let paper_smoke_s = if h.smoke {
-        None
-    } else {
-        let t0 = Instant::now();
-        let report = Study::new(StudyConfig::paper_smoke(7)).run();
-        black_box(report.counters.events_processed);
-        let secs = t0.elapsed().as_secs_f64();
-        println!("bench hotpath/paper_smoke_run: {secs:.3} s (2^32 universe, 64 shards)");
-        Some(secs)
-    };
-
-    // ---- Scaling spot-check ----------------------------------------------
-    // Two points off the elastic-sharding curve (paper-smoke at shards=64,
-    // workers 1 vs one-per-core); the full shards × workers grid lives in
-    // BENCH_scaling.json (`cargo bench -p ofh-bench --bench scaling`).
-    let scaling = if h.smoke {
-        None
-    } else {
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        let smoke_cell = |workers: usize| {
-            let mut cfg = StudyConfig::paper_smoke(7);
-            cfg.shards = 64;
-            cfg.workers = workers;
-            let t0 = Instant::now();
-            let report = Study::new(cfg).run();
-            black_box(report.counters.events_processed);
-            t0.elapsed().as_secs_f64()
-        };
-        let w1 = smoke_cell(1).min(smoke_cell(1));
-        let wall = smoke_cell(0).min(smoke_cell(0));
-        println!(
-            "bench hotpath/scaling: paper-smoke shards=64 workers=1 {w1:.3} s | workers=auto/{cores} {wall:.3} s"
-        );
-        Some((w1, wall, cores))
-    };
-
-    // ---- Optional end-to-end wall clocks --------------------------------
-    let (full_run_s, paper_scale_s) = if !h.smoke && std::env::var_os("BENCH_FULL").is_some() {
-        println!("timing full-preset study run (BENCH_FULL set)...");
-        let t0 = Instant::now();
-        let report = Study::new(StudyConfig::full(7)).run();
-        black_box(report.counters.events_processed);
-        let full_s = t0.elapsed().as_secs_f64();
-        println!("full_run: {full_s:.1} s (baseline {FULL_RUN_BASELINE_S} s)");
-        println!("timing paper-scale study run (BENCH_FULL set, >1M hosts)...");
-        let t0 = Instant::now();
-        let mut cfg = StudyConfig::paper_scale(7);
-        cfg.workers = 0; // one worker per core — the documented way to run it
-        let report = Study::new(cfg).run();
-        black_box(report.counters.events_processed);
-        let scale_s = t0.elapsed().as_secs_f64();
-        println!("paper_scale_run: {scale_s:.1} s (acceptance bar: 600 s)");
-        (Some(full_s), Some(scale_s))
-    } else {
-        (None, None)
-    };
-
     if h.smoke {
         return;
     }
 
     // ---- Emit BENCH_hotpath.json ---------------------------------------
-    let (hits, misses) = Payload::pool_stats();
     let mut json = String::from("{\n  \"benchmarks_ns_per_iter\": {\n");
     for (i, (name, per)) in h.results.iter().enumerate() {
         let comma = if i + 1 == h.results.len() { "" } else { "," };
         json.push_str(&format!("    \"{name}\": {per:.1}{comma}\n"));
     }
     json.push_str("  },\n");
-    json.push_str(&format!(
-        "  \"payload_pool\": {{ \"hits\": {hits}, \"misses\": {misses} }},\n"
-    ));
-    {
-        // The per-size plain-vs-pool grid and the measured crossover the
-        // POOL_MIN_CAPACITY threshold is set from.
-        json.push_str("  \"payload_crossover\": {\n");
-        json.push_str(&format!(
-            "    \"pool_min_capacity\": {},\n",
-            ofh_net::POOL_MIN_CAPACITY
-        ));
-        json.push_str(&format!(
-            "    \"pool_wins_from_bytes\": {},\n",
-            crossover_b.map_or("null".into(), |s| s.to_string())
-        ));
-        json.push_str("    \"grid\": [\n");
-        for (i, (size, plain, pool)) in crossover_rows.iter().enumerate() {
-            let comma = if i + 1 == crossover_rows.len() { "" } else { "," };
-            json.push_str(&format!(
-                "      {{ \"bytes\": {size}, \"plain_ns\": {plain:.1}, \"pool_ns\": {pool:.1} }}{comma}\n"
-            ));
-        }
-        json.push_str("    ]\n  },\n");
-    }
     if let Some((off, on, pct)) = obs_overhead {
         json.push_str(&format!(
             "  \"obs_overhead\": {{ \"quick_run_obs_off_s\": {off:.3}, \"quick_run_obs_on_s\": {on:.3}, \"overhead_pct\": {pct:.2} }},\n"
@@ -484,25 +337,9 @@ fn main() {
             _ => "null".into(),
         };
         json.push_str(&format!(
-            "  \"event_queue\": {{ \"same_run_heap_over_wheel\": {same_run} }},\n"
+            "  \"event_queue\": {{ \"same_run_heap_over_wheel\": {same_run} }}\n"
         ));
     }
-    json.push_str(&format!(
-        "  \"paper_scale\": {{ \"smoke_run_s\": {}, \"scale_run_s\": {}, \"scale_budget_s\": 600, \"shards\": 64 }},\n",
-        paper_smoke_s.map_or("null".into(), |s| format!("{s:.3}")),
-        paper_scale_s.map_or("null".into(), |s| format!("{s:.1}"))
-    ));
-    if let Some((w1, w_cores, cores)) = scaling {
-        // `workers_auto` is workers=0 (one per core); a literal per-core key
-        // would collide with the workers1 key on a 1-core host.
-        json.push_str(&format!(
-            "  \"scaling\": {{ \"paper_smoke_shards64_workers1_s\": {w1:.3}, \"paper_smoke_shards64_workers_auto_s\": {w_cores:.3}, \"host_cores\": {cores}, \"grid\": \"BENCH_scaling.json\" }},\n"
-        ));
-    }
-    json.push_str(&format!(
-        "  \"full_run\": {{ \"baseline_s\": {FULL_RUN_BASELINE_S}, \"current_s\": {} }}\n",
-        full_run_s.map_or("null".into(), |s| format!("{s:.1}"))
-    ));
     json.push_str("}\n");
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotpath.json");
     match std::fs::write(path, &json) {

@@ -554,10 +554,7 @@ impl Study {
             &registry,
             per_shard_events,
         );
-        let (pool_hits, pool_misses) = ofh_net::Payload::pool_stats();
         metrics.host.workers = workers as u64;
-        metrics.host.pool_hits = pool_hits;
-        metrics.host.pool_misses = pool_misses;
         metrics.host.steals = steals_total;
         metrics.host.profile = profile;
 

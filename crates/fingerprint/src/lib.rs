@@ -21,5 +21,5 @@ pub mod matcher;
 pub mod signatures;
 
 pub use engine::{Detection, FingerprintProber, FingerprintReport};
-pub use matcher::{AhoCorasick, MatcherStats, SparseAhoCorasick};
+pub use matcher::AhoCorasick;
 pub use signatures::SignatureDb;

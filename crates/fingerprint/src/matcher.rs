@@ -10,8 +10,7 @@
 //! * **Dense transition rows.** [`AhoCorasick`] precomputes the full
 //!   goto-with-failure function into one `[u32; 256]` row per trie node
 //!   (a DFA), so the scan loop is a single indexed load per input byte —
-//!   no hashing, no failure-link walk. The hashmap-goto variant is kept as
-//!   [`SparseAhoCorasick`] for the ablation benchmark.
+//!   no hashing, no failure-link walk.
 //! * **Output links instead of merged output lists.** Copying each node's
 //!   failure-target output list into the node (the textbook shortcut) is
 //!   quadratic for repeated-prefix pattern sets (`a`, `aa`, `aaa`, …).
@@ -24,7 +23,8 @@
 
 use std::collections::{HashMap, VecDeque};
 
-/// Trie + failure/output links shared by both automaton representations.
+/// Trie + failure/output links, from which [`AhoCorasick`] derives its
+/// dense rows.
 struct Links {
     goto_fn: Vec<HashMap<u8, u32>>,
     fail: Vec<u32>,
@@ -203,63 +203,6 @@ impl AhoCorasick {
     }
 }
 
-/// The hashmap-goto Aho-Corasick variant: same links, but transitions
-/// resolve through per-node `HashMap<u8, u32>` lookups with an explicit
-/// failure-link walk. Kept for the `banner_match` ablation benchmark
-/// (dense vs hashmap vs naive); production code uses [`AhoCorasick`].
-#[derive(Debug, Clone)]
-pub struct SparseAhoCorasick {
-    goto_fn: Vec<HashMap<u8, u32>>,
-    fail: Vec<u32>,
-    ends: Vec<Vec<u32>>,
-    olink: Vec<u32>,
-    pattern_count: usize,
-}
-
-impl SparseAhoCorasick {
-    /// Build the automaton. Empty patterns are rejected.
-    pub fn new<P: AsRef<[u8]>>(patterns: &[P]) -> SparseAhoCorasick {
-        let links = build_links(patterns);
-        SparseAhoCorasick {
-            goto_fn: links.goto_fn,
-            fail: links.fail,
-            ends: links.ends,
-            olink: links.olink,
-            pattern_count: patterns.len(),
-        }
-    }
-
-    /// Indices of all patterns occurring in `haystack` (deduplicated,
-    /// sorted).
-    pub fn find_all(&self, haystack: &[u8]) -> Vec<u32> {
-        let mut hits = Vec::new();
-        let mut node = 0u32;
-        for &b in haystack {
-            loop {
-                if let Some(&next) = self.goto_fn[node as usize].get(&b) {
-                    node = next;
-                    break;
-                }
-                if node == 0 {
-                    break;
-                }
-                node = self.fail[node as usize];
-            }
-            if !self.ends[node as usize].is_empty() {
-                hits.extend_from_slice(&self.ends[node as usize]);
-            }
-            emit(&self.ends, &self.olink, self.olink[node as usize], &mut hits);
-        }
-        hits.sort_unstable();
-        hits.dedup();
-        hits
-    }
-
-    pub fn pattern_count(&self) -> usize {
-        self.pattern_count
-    }
-}
-
 /// Naive multi-pattern scan (ablation oracle).
 pub fn naive_find_all<P: AsRef<[u8]>>(patterns: &[P], haystack: &[u8]) -> Vec<u32> {
     let mut hits = Vec::new();
@@ -270,13 +213,6 @@ pub fn naive_find_all<P: AsRef<[u8]>>(patterns: &[P], haystack: &[u8]) -> Vec<u3
         }
     }
     hits
-}
-
-/// Match-throughput counters for benchmarking.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MatcherStats {
-    pub banners_scanned: u64,
-    pub matches: u64,
 }
 
 #[cfg(test)]
@@ -311,7 +247,6 @@ mod tests {
     fn agrees_with_naive() {
         let patterns: Vec<&[u8]> = vec![b"login:", b"\xff\xfd\x1f", b"BusyBox", b"$"];
         let ac = AhoCorasick::new(&patterns);
-        let sparse = SparseAhoCorasick::new(&patterns);
         for haystack in [
             b"BusyBox v1.19.3 login: $ ".as_slice(),
             b"\xff\xfd\x1f",
@@ -320,12 +255,7 @@ mod tests {
             b"$$$$",
         ] {
             let expect = naive_find_all(&patterns, haystack);
-            assert_eq!(ac.find_all(haystack), expect, "dense, haystack {haystack:?}");
-            assert_eq!(
-                sparse.find_all(haystack),
-                expect,
-                "sparse, haystack {haystack:?}"
-            );
+            assert_eq!(ac.find_all(haystack), expect, "haystack {haystack:?}");
         }
     }
 

@@ -78,7 +78,7 @@ pub use event::{EventQueue, HeapQueue};
 pub use cidr::{Cidr, CidrSet};
 pub use fasthash::{FastMap, FastSet};
 pub use fault::{churn_dark, Direction, FaultPhase, FaultPlan, FaultSchedule, FaultScope, Ramp};
-pub use packet::{FlowKind, FlowObservation, Payload, PayloadBuilder, Transport, POOL_MIN_CAPACITY};
+pub use packet::{FlowKind, FlowObservation, Payload, Transport};
 pub use shard::{shard_of, ShardSpec, MAX_SHARDS};
 pub use sim::{EgressStats, HostSpawner, LatencyModel, SimNet, SimNetConfig};
 pub use slab::Slab;

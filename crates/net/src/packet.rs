@@ -12,94 +12,26 @@
 //! bumps a reference count (or copies a pointer for static data), never the
 //! bytes. The fabric moves one `Payload` from sender to event queue to
 //! receiver to capture tap without copying; a probe template encoded once
-//! can back millions of in-flight packets. Mutable construction goes
-//! through [`PayloadBuilder`], whose backing `Vec` comes from a thread-local
-//! free list and returns there when the last clone drops — in steady state
-//! the per-packet path performs no heap growth at all. See DESIGN.md
-//! ("Hot-path memory model") for the pooling rules.
+//! can back millions of in-flight packets. A payload that must differ from
+//! its source (a patched CoAP message id, a fault-corrupted datagram) is
+//! copied into a fresh `Vec` and wrapped with `Payload::from`. See
+//! DESIGN.md ("Hot-path memory model").
 
 use std::net::Ipv4Addr;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use crate::time::SimTime;
 
-/// Buffers kept per thread for reuse; beyond this they are simply freed.
-const POOL_MAX_BUFFERS: usize = 64;
-/// Oversized buffers are not pooled (a pathological giant payload must not
-/// pin its allocation forever).
-const POOL_MAX_CAPACITY: usize = 64 * 1024;
-/// Buffers below this capacity skip the pool entirely: for small payloads
-/// the allocator is faster than the pool's thread-local free-list round
-/// trip plus the `Drop`-to-pool plumbing, so [`PayloadBuilder::freeze`]
-/// seals sub-threshold builds as a plain shared `Vec` and [`pool_give`]
-/// drops sub-threshold returns. The `payload_crossover` grid in
-/// `BENCH_hotpath.json` measures both paths per size; on the reference
-/// 1-core container the pool first wins at 4096 B (e.g. 74 ns vs the
-/// allocator's 92 ns), while at 1 KiB and below the allocator is 20–30%
-/// faster — hence this value.
-pub const POOL_MIN_CAPACITY: usize = 4096;
-
-static POOL_HITS: AtomicU64 = AtomicU64::new(0);
-static POOL_MISSES: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    static FREE_BUFFERS: std::cell::RefCell<Vec<Vec<u8>>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-fn pool_take() -> Vec<u8> {
-    let reused = FREE_BUFFERS.with(|p| p.borrow_mut().pop());
-    match reused {
-        Some(mut buf) => {
-            POOL_HITS.fetch_add(1, Ordering::Relaxed);
-            buf.clear();
-            buf
-        }
-        None => {
-            POOL_MISSES.fetch_add(1, Ordering::Relaxed);
-            Vec::new()
-        }
-    }
-}
-
-fn pool_give(buf: Vec<u8>) {
-    if buf.capacity() < POOL_MIN_CAPACITY || buf.capacity() > POOL_MAX_CAPACITY {
-        return;
-    }
-    FREE_BUFFERS.with(|p| {
-        let mut pool = p.borrow_mut();
-        if pool.len() < POOL_MAX_BUFFERS {
-            pool.push(buf);
-        }
-    });
-}
-
-/// A pooled backing buffer; returns its `Vec` to the owning thread's free
-/// list when the last [`Payload`] clone drops.
-#[derive(Debug)]
-struct PoolBuf {
-    data: Vec<u8>,
-}
-
-impl Drop for PoolBuf {
-    fn drop(&mut self) {
-        pool_give(std::mem::take(&mut self.data));
-    }
-}
-
 #[derive(Debug, Clone)]
 enum Repr {
     /// Borrowed static bytes (protocol constants, greetings): zero-cost
     /// clone, no allocation ever.
     Static(&'static [u8]),
-    /// Shared ownership of a plain `Vec` (the common conversion path).
+    /// Shared ownership of a plain `Vec`.
     Shared(Arc<Vec<u8>>),
-    /// Shared ownership of a pooled buffer (the hot-path build path).
-    Pooled(Arc<PoolBuf>),
 }
 
 /// An immutable, cheaply cloneable packet payload. See the module docs for
@@ -124,7 +56,6 @@ impl Payload {
         match &self.0 {
             Repr::Static(s) => s,
             Repr::Shared(v) => v.as_slice(),
-            Repr::Pooled(b) => b.data.as_slice(),
         }
     }
 
@@ -132,16 +63,6 @@ impl Payload {
     /// packet path).
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_slice().to_vec()
-    }
-
-    /// Cumulative (hits, misses) of the thread-local buffer pool across all
-    /// threads since process start. A hit is a `PayloadBuilder` that reused
-    /// a pooled buffer instead of allocating.
-    pub fn pool_stats() -> (u64, u64) {
-        (
-            POOL_HITS.load(Ordering::Relaxed),
-            POOL_MISSES.load(Ordering::Relaxed),
-        )
     }
 }
 
@@ -203,17 +124,10 @@ impl From<&str> for Payload {
     }
 }
 
-/// Copies borrowed slices of unknown origin. Sub-threshold copies go
-/// straight to a plain shared `Vec` — not even a pool probe — since the
-/// allocator wins below the crossover; larger ones recycle a pooled buffer.
+/// Copies borrowed slices of unknown origin.
 impl From<&[u8]> for Payload {
     fn from(s: &[u8]) -> Payload {
-        if s.len() < POOL_MIN_CAPACITY {
-            return Payload(Repr::Shared(Arc::new(s.to_vec())));
-        }
-        let mut b = PayloadBuilder::new();
-        b.extend_from_slice(s);
-        b.freeze()
+        Payload::from(s.to_vec())
     }
 }
 
@@ -241,53 +155,6 @@ impl Serialize for Payload {
 impl Deserialize for Payload {
     fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
         Vec::<u8>::from_value(v).map(Payload::from)
-    }
-}
-
-/// Mutable construction site for a [`Payload`], backed by the thread-local
-/// buffer pool. Deref to `Vec<u8>` for building; [`PayloadBuilder::freeze`]
-/// seals it into an immutable shared payload.
-#[derive(Debug)]
-pub struct PayloadBuilder {
-    buf: Vec<u8>,
-}
-
-impl Default for PayloadBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PayloadBuilder {
-    /// Take a cleared buffer from the pool (or allocate on a pool miss).
-    pub fn new() -> PayloadBuilder {
-        PayloadBuilder { buf: pool_take() }
-    }
-
-    /// Seal into an immutable, cheaply cloneable payload. Buffers with at
-    /// least [`POOL_MIN_CAPACITY`] return to the pool when the last clone
-    /// drops; smaller builds become plain shared `Vec`s, since below the
-    /// crossover the pool round trip costs more than the allocation it
-    /// would save.
-    pub fn freeze(self) -> Payload {
-        if self.buf.capacity() < POOL_MIN_CAPACITY {
-            return Payload(Repr::Shared(Arc::new(self.buf)));
-        }
-        Payload(Repr::Pooled(Arc::new(PoolBuf { data: self.buf })))
-    }
-}
-
-impl Deref for PayloadBuilder {
-    type Target = Vec<u8>;
-
-    fn deref(&self) -> &Vec<u8> {
-        &self.buf
-    }
-}
-
-impl std::ops::DerefMut for PayloadBuilder {
-    fn deref_mut(&mut self) -> &mut Vec<u8> {
-        &mut self.buf
     }
 }
 
@@ -395,43 +262,6 @@ mod tests {
         );
         let back: Payload = serde_json::from_str("[1,2,3]").unwrap();
         assert_eq!(back, p);
-    }
-
-    #[test]
-    fn pooled_buffers_are_reused() {
-        // Drain this thread's pool so the test owns its state, then check
-        // that freeze → drop → new round-trips the same buffer. The build
-        // must reach POOL_MIN_CAPACITY to be pool-eligible.
-        for _ in 0..POOL_MAX_BUFFERS {
-            drop(PayloadBuilder::new());
-        }
-        let (h0, _) = Payload::pool_stats();
-        let mut b = PayloadBuilder::new();
-        b.reserve(POOL_MIN_CAPACITY);
-        b.extend_from_slice(b"recycled");
-        drop(b.freeze());
-        drop(PayloadBuilder::new());
-        let (h1, _) = Payload::pool_stats();
-        assert!(h1 > h0, "second builder must hit the pool");
-    }
-
-    #[test]
-    fn small_builds_skip_the_pool() {
-        // Sub-threshold payloads seal as plain shared Vecs: dropping them
-        // must not stock the pool, so the next builder misses.
-        for _ in 0..POOL_MAX_BUFFERS {
-            drop(PayloadBuilder::new());
-        }
-        let mut b = PayloadBuilder::new();
-        b.extend_from_slice(b"tiny");
-        assert!(b.capacity() < POOL_MIN_CAPACITY, "test premise");
-        let p = b.freeze();
-        assert_eq!(&*p, b"tiny");
-        drop(p);
-        let (h0, _) = Payload::pool_stats();
-        drop(PayloadBuilder::new());
-        let (h1, _) = Payload::pool_stats();
-        assert_eq!(h1, h0, "small buffer must not have entered the pool");
     }
 
     #[test]

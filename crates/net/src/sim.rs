@@ -46,7 +46,7 @@ use crate::agent::{Agent, AgentId, ConnToken, NetCtx, TcpDecision};
 use crate::cidr::Cidr;
 use crate::event::EventQueue;
 use crate::fault::{churn_dark, Direction, FaultSchedule};
-use crate::packet::{FlowKind, FlowObservation, Payload, PayloadBuilder, Transport};
+use crate::packet::{FlowKind, FlowObservation, Payload, Transport};
 use crate::rng;
 use crate::time::{SimDuration, SimTime};
 
@@ -802,10 +802,9 @@ impl Fabric {
             self.counters.udp_datagrams_corrupted += 1;
             let idx = self.rng.gen_range(0..payload.len());
             let bit = 1u8 << self.rng.gen_range(0..8);
-            let mut corrupted = PayloadBuilder::new();
-            corrupted.extend_from_slice(payload);
+            let mut corrupted = payload.to_vec();
             corrupted[idx] ^= bit;
-            *payload = corrupted.freeze();
+            *payload = Payload::from(corrupted);
         }
         UdpVerdict::Deliver {
             jitter: SimDuration::from_millis(jitter_ms),

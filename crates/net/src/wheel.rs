@@ -35,22 +35,22 @@
 //!
 //! * All items in one level-0 slot share the *same* expiry tick (they agree
 //!   with `base` on every bit above the bottom 8, and on the slot index
-//!   below), and every slot stays seq-sorted by construction, so draining a
-//!   slot into the `ready` queue is a reversal, not a sort.
+//!   below), and every bucket at every level stays seq-ascending by
+//!   construction (pushes are seq-monotone, and a cascade batch — itself
+//!   seq-ascending — only lands in empty lower levels), so draining a
+//!   level-0 slot into the `ready` queue is a reversal, not a sort.
 //! * Items scheduled *for the current tick while the current tick drains*
 //!   carry strictly larger seqs than anything already in `ready`, so
 //!   re-draining the slot after `ready` empties preserves global seq order.
-//! * Per-level occupancy bitmaps (4×`u64` for level 0, one `u64` per upper
-//!   level) find the next expiry in `O(levels)` — no tick-by-tick scan
-//!   across empty gaps, which is what makes a millisecond-grained wheel
-//!   viable over a 61-day simulation.
+//! * One occupancy bit per bucket (4×`u64` for level 0, one `u64` per upper
+//!   level, level-major like the buckets) finds the next expiry in
+//!   `O(levels)` — no tick-by-tick scan across empty gaps, which is what
+//!   makes a millisecond-grained wheel viable over a 61-day simulation.
 //!
 //! The differential property test (`tests/wheel_props.rs`) drives this wheel
 //! and the retained binary-heap oracle ([`crate::event::HeapQueue`]) with
 //! identical schedule/cancel/pop interleavings and requires identical pop
 //! sequences.
-
-use std::mem::MaybeUninit;
 
 use crate::fasthash::FastSet;
 
@@ -67,6 +67,12 @@ pub const SLOTS: usize = 1 << BITS;
 const UPPER_LEVELS: usize = 10;
 /// Total levels: 8 + 10·6 = 68 bits cover every `u64` tick.
 pub const LEVELS: usize = UPPER_LEVELS + 1;
+/// Buckets across all levels, level-major (level 0 first).
+const BUCKETS: usize = L0_SLOTS + UPPER_LEVELS * SLOTS;
+
+// Each upper level is exactly one occupancy word and level 0 a whole number
+// of words, so bucket `i`'s bit is bit `i % 64` of word `i / 64`.
+const _: () = assert!(BITS == 6 && L0_BITS >= 6);
 
 /// A hierarchical timer wheel ordered by `(tick, seq)`.
 ///
@@ -76,21 +82,11 @@ pub const LEVELS: usize = UPPER_LEVELS + 1;
 /// enforces by clamping schedules to `now`.
 #[derive(Debug)]
 pub struct TimerWheel<E> {
-    /// `L0_SLOTS + UPPER_LEVELS·SLOTS` buckets, level-major (level 0 first):
-    /// `(tick, seq, payload)`. A level-0 bucket holds only the *overflow*
-    /// beyond the slot's inline first item in `l0_first`.
+    /// [`BUCKETS`] seq-ascending buckets, level-major (level 0 first):
+    /// `(tick, seq, payload)`.
     slots: Vec<Vec<(u64, u64, E)>>,
-    /// Inline first item of each level-0 slot. Occupied iff the slot's
-    /// `occ0` bit is set; always the slot's lowest-seq live item (pushes are
-    /// seq-monotone between drains, and a cascade batch — itself seq-sorted
-    /// — only lands in an empty window). The single-item slot, by far the
-    /// common case, thus costs one contiguous-array touch instead of a Vec
-    /// header chase plus a heap-buffer access.
-    l0_first: Box<[MaybeUninit<(u64, u64, E)>]>,
-    /// Level-0 occupancy: one bit per slot, 4 words for 256 slots.
-    occ0: [u64; L0_SLOTS / 64],
-    /// Upper-level occupancy: `occ_hi[l-1]` is level `l`'s bitmap.
-    occ_hi: [u64; UPPER_LEVELS],
+    /// One bit per bucket, set iff the bucket is non-empty.
+    occ: [u64; BUCKETS / 64],
     /// Reference time all placements are relative to. Advances to the tick
     /// of each drained slot; never exceeds the earliest pending expiry.
     base: u64,
@@ -136,30 +132,13 @@ fn slot_index(level: usize, tick: u64) -> usize {
     }
 }
 
-/// Lowest set bit position across the level-0 bitmap, scanning from word
-/// `from` (occupied level-0 slots are never below `base`'s slot, so callers
-/// pass `base`'s word to skip provably-empty words).
-#[inline]
-fn first_occ0(occ0: &[u64; L0_SLOTS / 64], from: usize) -> Option<usize> {
-    for w in from..L0_SLOTS / 64 {
-        let bits = occ0[w];
-        if bits != 0 {
-            return Some(w * 64 + bits.trailing_zeros() as usize);
-        }
-    }
-    None
-}
-
 impl<E> TimerWheel<E> {
     pub fn new() -> Self {
-        let n = L0_SLOTS + UPPER_LEVELS * SLOTS;
-        let mut slots = Vec::with_capacity(n);
-        slots.resize_with(n, Vec::new);
+        let mut slots = Vec::with_capacity(BUCKETS);
+        slots.resize_with(BUCKETS, Vec::new);
         TimerWheel {
             slots,
-            l0_first: (0..L0_SLOTS).map(|_| MaybeUninit::uninit()).collect(),
-            occ0: [0; L0_SLOTS / 64],
-            occ_hi: [0; UPPER_LEVELS],
+            occ: [0; BUCKETS / 64],
             base: 0,
             ready: Vec::new(),
             ready_tick: 0,
@@ -172,28 +151,30 @@ impl<E> TimerWheel<E> {
     /// must not precede the last popped tick.
     pub fn insert(&mut self, tick: u64, seq: u64, payload: E) {
         debug_assert!(tick >= self.base, "tick {tick} precedes wheel base {}", self.base);
-        let level = level_for(self.base, tick);
-        let idx = slot_index(level, tick);
-        if level == 0 {
-            let (w, bit) = (idx >> 6, 1u64 << (idx & 63));
-            if self.occ0[w] & bit == 0 {
-                // SAFETY: `idx` is masked to `< L0_SLOTS`, the length of
-                // `l0_first` (a boxed slice, so the bound isn't visible to
-                // the optimizer — this is the insert hot path).
-                unsafe { self.l0_first.get_unchecked_mut(idx) }.write((tick, seq, payload));
-                self.occ0[w] |= bit;
-            } else {
-                // SAFETY: `idx < L0_SLOTS <= slots.len()`.
-                unsafe { self.slots.get_unchecked_mut(idx) }.push((tick, seq, payload));
-            }
-        } else {
-            // SAFETY: `slot_index` returns `L0_SLOTS + (level-1)·SLOTS + s`
-            // with `s < SLOTS` and `level <= UPPER_LEVELS`, i.e. within the
-            // `L0_SLOTS + UPPER_LEVELS·SLOTS` buckets allocated in `new`.
-            unsafe { self.slots.get_unchecked_mut(idx) }.push((tick, seq, payload));
-            self.occ_hi[level - 1] |= 1 << (idx - L0_SLOTS - (level - 1) * SLOTS);
-        }
+        self.place(tick, seq, payload);
         self.len += 1;
+    }
+
+    /// File an item into its bucket relative to the current `base`.
+    #[inline]
+    fn place(&mut self, tick: u64, seq: u64, payload: E) {
+        let idx = slot_index(level_for(self.base, tick), tick);
+        self.slots[idx].push((tick, seq, payload));
+        self.occ[idx >> 6] |= 1 << (idx & 63);
+    }
+
+    /// The bucket holding the global minimum: the lowest occupied slot of
+    /// the lowest occupied level. Every occupied slot at level `l` agrees
+    /// with `base` above its group and exceeds `base`'s group at `l` (level
+    /// 0 may equal it), so the first set occupancy bit in level-major order
+    /// is that bucket. Level-0 words below `base`'s slot are provably empty
+    /// and skipped.
+    #[inline]
+    fn first_slot(&self) -> Option<usize> {
+        let from = (self.base as usize & (L0_SLOTS - 1)) >> 6;
+        (from..self.occ.len())
+            .find(|&w| self.occ[w] != 0)
+            .map(|w| w * 64 + self.occ[w].trailing_zeros() as usize)
     }
 
     /// Cancel a pending item by its `seq`. The item must still be pending
@@ -207,43 +188,6 @@ impl<E> TimerWheel<E> {
 
     /// Pop the earliest `(tick, seq, payload)`.
     pub fn pop(&mut self) -> Option<(u64, u64, E)> {
-        // Hot path: with no tombstones outstanding, the current tick's
-        // drained items pop straight off the back of `ready` — one branch,
-        // one Vec pop.
-        if self.cancelled.is_empty() {
-            if let Some((seq, payload)) = self.ready.pop() {
-                self.len -= 1;
-                return Some((self.ready_tick, seq, payload));
-            }
-        } else if self.skim_ready() {
-            let (seq, payload) = self.ready.pop().expect("skim_ready");
-            self.len -= 1;
-            return Some((self.ready_tick, seq, payload));
-        }
-        // Fast path: the placement invariant puts the global minimum in the
-        // lowest occupied slot of the lowest occupied level, so when level 0
-        // is occupied and that slot holds a single item, pop it directly —
-        // no trip through `ready`. This is the common case (most simulation
-        // ticks carry one event).
-        while let Some(slot) = first_occ0(&self.occ0, (self.base as usize & (L0_SLOTS - 1)) >> 6) {
-            // SAFETY: `first_occ0` returns `< L0_SLOTS <= slots.len()`.
-            if !unsafe { self.slots.get_unchecked(slot) }.is_empty() {
-                break; // overflowed slot: take the general drain path
-            }
-            // SAFETY: `slot < L0_SLOTS` = the cell array's length; the
-            // slot's occ0 bit is set, so its inline cell is initialized,
-            // and the bit is cleared before any other read.
-            let (tick, seq, payload) =
-                unsafe { self.l0_first.get_unchecked(slot).assume_init_read() };
-            self.occ0[slot >> 6] &= !(1u64 << (slot & 63));
-            debug_assert!(tick >= self.base);
-            self.base = tick;
-            if !self.cancelled.is_empty() && self.cancelled.remove(&seq) {
-                continue; // tombstone consumed; the next slot may qualify too
-            }
-            self.len -= 1;
-            return Some((tick, seq, payload));
-        }
         if !self.ensure_ready() {
             return None;
         }
@@ -258,62 +202,28 @@ impl<E> TimerWheel<E> {
     /// an event that was merely peeked (the simulator peeks at far-future
     /// phase timers while the current phase still schedules near-term
     /// events, and every insert requires `tick >= base`). Instead the
-    /// candidate slot — lowest occupied slot of the lowest occupied level,
-    /// which the placement invariant guarantees contains the global minimum
-    /// — is scanned for its earliest `(tick, seq)`. Tombstoned items are
-    /// pruned along the way so the answer matches what [`Self::pop`] would
-    /// return.
+    /// candidate slot (see [`Self::first_slot`]) is scanned for its
+    /// earliest `(tick, seq)`. Tombstoned items are pruned along the way so
+    /// the answer matches what [`Self::pop`] would return.
     pub fn peek(&mut self) -> Option<(u64, u64)> {
         if self.skim_ready() {
             let &(seq, _) = self.ready.last().expect("skim_ready");
             return Some((self.ready_tick, seq));
         }
         loop {
-            if let Some(slot) = first_occ0(&self.occ0, (self.base as usize & (L0_SLOTS - 1)) >> 6) {
-                // The inline cell holds the slot's lowest seq, which by the
-                // placement invariant is the global minimum.
-                // SAFETY: the occ0 bit is set, so the cell is initialized.
-                let &(tick, seq, _) = unsafe { self.l0_first[slot].assume_init_ref() };
-                if !self.cancelled.is_empty() && self.cancelled.remove(&seq) {
-                    // SAFETY: same cell; dropped exactly once, then either
-                    // re-written from the overflow or its bit cleared.
-                    unsafe { self.l0_first[slot].assume_init_drop() };
-                    let cancelled = &mut self.cancelled;
-                    self.slots[slot].retain(|&(_, s, _)| !cancelled.remove(&s));
-                    if self.slots[slot].is_empty() {
-                        self.occ0[slot >> 6] &= !(1u64 << (slot & 63));
-                    } else {
-                        // Promote the lowest-seq survivor into the cell.
-                        let mi = self.slots[slot]
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|&(_, &(_, s, _))| s)
-                            .map(|(i, _)| i)
-                            .expect("slot non-empty");
-                        let item = self.slots[slot].remove(mi);
-                        self.l0_first[slot].write(item);
-                    }
-                    continue;
-                }
-                return Some((tick, seq));
-            }
-            let l = (0..UPPER_LEVELS).find(|&l| self.occ_hi[l] != 0)?;
-            let s = self.occ_hi[l].trailing_zeros() as usize;
-            let idx = L0_SLOTS + l * SLOTS + s;
+            let idx = self.first_slot()?;
             if !self.cancelled.is_empty() {
                 let cancelled = &mut self.cancelled;
                 self.slots[idx].retain(|&(_, seq, _)| !cancelled.remove(&seq));
             }
-            if self.slots[idx].is_empty() {
-                self.occ_hi[l] &= !(1u64 << s);
-                continue;
-            }
-            let best = self.slots[idx]
+            if let Some(best) = self.slots[idx]
                 .iter()
                 .map(|&(tick, seq, _)| (tick, seq))
                 .min()
-                .expect("slot non-empty");
-            return Some(best);
+            {
+                return Some(best);
+            }
+            self.occ[idx >> 6] &= !(1 << (idx & 63));
         }
     }
 
@@ -327,57 +237,39 @@ impl<E> TimerWheel<E> {
 
     /// Make `ready` hold the earliest pending tick's items (next-to-pop end
     /// non-cancelled). Returns `false` iff nothing is pending.
-    ///
-    /// The search exploits the placement invariant: every occupied slot at
-    /// level `l` agrees with `base` above its group and exceeds `base`'s
-    /// group at `l` (level 0 may equal it), so the globally earliest item is
-    /// always in the lowest occupied level's lowest occupied slot.
     fn ensure_ready(&mut self) -> bool {
         loop {
             if self.skim_ready() {
                 return true;
             }
-            if let Some(slot) = first_occ0(&self.occ0, (self.base as usize & (L0_SLOTS - 1)) >> 6) {
-                // All items in a level-0 slot share one tick; drain it in
-                // place (disjoint field borrows: `ready` vs `slots`), so the
-                // slot keeps its buffer and steady-state churn never touches
-                // the allocator. The inline cell is the slot's lowest seq and
-                // the overflow Vec is already seq-ascending (pushes are
-                // seq-monotone between drains, and a cascade batch — itself
-                // sorted — only lands in an empty window), so reversing the
-                // overflow and appending the cell last yields `ready`'s
-                // descending-seq order with no sort.
-                self.occ0[slot >> 6] &= !(1u64 << (slot & 63));
-                // SAFETY: `slot < L0_SLOTS` (from `first_occ0`); the occ0
-                // bit was set, so the cell is initialized, and the bit is
-                // already cleared so it cannot be read again.
-                let (tick, seq, payload) =
-                    unsafe { self.l0_first.get_unchecked(slot).assume_init_read() };
-                debug_assert_eq!(tick, (self.base & !(L0_SLOTS as u64 - 1)) | slot as u64);
-                debug_assert!(tick >= self.base);
-                debug_assert!(self.slots[slot].iter().all(|&(t, _, _)| t == tick));
-                debug_assert!(self.slots[slot].windows(2).all(|w| w[0].1 < w[1].1));
-                debug_assert!(self.slots[slot].first().map_or(true, |&(_, s, _)| s > seq));
-                self.base = tick;
-                self.ready_tick = tick;
-                // SAFETY: `slot < L0_SLOTS <= slots.len()`.
-                let overflow = unsafe { self.slots.get_unchecked_mut(slot) };
-                self.ready
-                    .extend(overflow.drain(..).rev().map(|(_, seq, p)| (seq, p)));
-                self.ready.push((seq, payload));
-                continue;
-            }
-            let Some(l) = (0..UPPER_LEVELS).find(|&l| self.occ_hi[l] != 0) else {
+            let Some(idx) = self.first_slot() else {
                 return false;
             };
-            let level = l + 1;
-            let slot = self.occ_hi[l].trailing_zeros() as usize;
-            self.occ_hi[l] &= !(1u64 << slot);
-            // Enter the slot's window and cascade its items down. A cascade
-            // only ever moves items to *lower* levels (the placement
-            // invariant), so splitting the slot array at this level lets the
-            // source drain in place while its items push into lower-level
-            // slots — no buffer swap, no allocation.
+            self.occ[idx >> 6] &= !(1 << (idx & 63));
+            if idx < L0_SLOTS {
+                // All items in a level-0 slot share one tick and are
+                // seq-ascending: reversing them yields `ready`'s
+                // descending-seq order with no sort. Draining in place
+                // (disjoint field borrows: `ready` vs `slots`) keeps the
+                // slot's buffer, so steady-state churn never touches the
+                // allocator.
+                let tick = (self.base & !(L0_SLOTS as u64 - 1)) | idx as u64;
+                debug_assert!(tick >= self.base);
+                debug_assert!(self.slots[idx].iter().all(|&(t, _, _)| t == tick));
+                debug_assert!(self.slots[idx].windows(2).all(|w| w[0].1 < w[1].1));
+                self.base = tick;
+                self.ready_tick = tick;
+                self.ready
+                    .extend(self.slots[idx].drain(..).rev().map(|(_, seq, p)| (seq, p)));
+                continue;
+            }
+            // Enter the upper-level slot's window and cascade its items
+            // down. A cascade only ever moves items to *lower* levels (the
+            // placement invariant), so the source bucket is never refilled
+            // while it drains; it is taken out and put back empty to keep
+            // its buffer.
+            let l = (idx - L0_SLOTS) / SLOTS;
+            let slot = (idx - L0_SLOTS) % SLOTS;
             let shift = L0_BITS + BITS * l as u32;
             // Mask selecting the groups *above* this level (the slot's
             // enclosing window); the top level's window is all of time.
@@ -388,33 +280,12 @@ impl<E> TimerWheel<E> {
             let new_base = (self.base & window) | ((slot as u64) << shift);
             debug_assert!(new_base > self.base);
             self.base = new_base;
-            let split = L0_SLOTS + l * SLOTS;
-            let (lower, upper) = self.slots.split_at_mut(split);
-            let occ0 = &mut self.occ0;
-            let occ_hi = &mut self.occ_hi;
-            let l0_first = &mut self.l0_first;
-            for (tick, seq, payload) in upper[slot].drain(..) {
-                let lv = level_for(new_base, tick);
-                debug_assert!(lv < level);
-                let idx = slot_index(lv, tick);
-                if lv == 0 {
-                    let (w, bit) = (idx >> 6, 1u64 << (idx & 63));
-                    if occ0[w] & bit == 0 {
-                        // SAFETY: `idx` is masked to `< L0_SLOTS`.
-                        unsafe { l0_first.get_unchecked_mut(idx) }.write((tick, seq, payload));
-                        occ0[w] |= bit;
-                    } else {
-                        // SAFETY: `idx < L0_SLOTS <= lower.len()` (the split
-                        // is at `L0_SLOTS + l·SLOTS`).
-                        unsafe { lower.get_unchecked_mut(idx) }.push((tick, seq, payload));
-                    }
-                } else {
-                    // SAFETY: `lv < level`, so `slot_index` returns
-                    // `< L0_SLOTS + l·SLOTS`, the split point.
-                    unsafe { lower.get_unchecked_mut(idx) }.push((tick, seq, payload));
-                    occ_hi[lv - 1] |= 1 << (idx - L0_SLOTS - (lv - 1) * SLOTS);
-                }
+            let mut items = std::mem::take(&mut self.slots[idx]);
+            for (tick, seq, payload) in items.drain(..) {
+                debug_assert!(level_for(new_base, tick) <= l);
+                self.place(tick, seq, payload);
             }
+            self.slots[idx] = items;
         }
     }
 
@@ -429,21 +300,6 @@ impl<E> TimerWheel<E> {
             }
         }
         false
-    }
-}
-
-impl<E> Drop for TimerWheel<E> {
-    fn drop(&mut self) {
-        // Vec buckets drop themselves; only the occupied inline cells need
-        // manual drops (their occ0 bits say which are initialized).
-        if std::mem::needs_drop::<E>() {
-            for slot in 0..L0_SLOTS {
-                if self.occ0[slot >> 6] & (1u64 << (slot & 63)) != 0 {
-                    // SAFETY: bit set ⟺ cell initialized, dropped only here.
-                    unsafe { self.l0_first[slot].assume_init_drop() };
-                }
-            }
-        }
     }
 }
 

@@ -23,10 +23,10 @@ use crate::snapshot::{HistogramSnapshot, MetricsSnapshot};
 /// Diff tuning.
 #[derive(Debug, Clone, Default)]
 pub struct DiffOptions {
-    /// When set, volatile quantities (profile wall time, pool hit counts,
-    /// latency histogram means) whose relative difference exceeds this
-    /// fraction (e.g. `0.25` = 25%) are reported as failures. `None` =
-    /// report volatile differences informationally only.
+    /// When set, volatile quantities (profile wall time, latency histogram
+    /// means) whose relative difference exceeds this fraction (e.g. `0.25`
+    /// = 25%) are reported as failures. `None` = report volatile
+    /// differences informationally only.
     pub volatile_pct: Option<f64>,
 }
 
@@ -197,10 +197,6 @@ pub fn diff_snapshots(
         _ => d.volatile_notes.push(what),
     };
     volatile(
-        format!("pool_hits: {} vs {}", a.host.pool_hits, b.host.pool_hits),
-        rel(a.host.pool_hits, b.host.pool_hits),
-    );
-    volatile(
         format!(
             "profile wall: {:.1}ms vs {:.1}ms",
             a.host.profile.wall_ns as f64 / 1e6,
@@ -231,7 +227,7 @@ mod tests {
         reg.observe("net.udp_payload_bytes", "", 120);
         let mut s = MetricsSnapshot::from_registry(seed, 16, "quick", &reg, vec![1; 16]);
         s.host.workers = 4;
-        s.host.pool_hits = 500;
+        s.host.profile.wall_ns = 5_000_000;
         s
     }
 
@@ -240,7 +236,7 @@ mod tests {
         let a = snap(7);
         let mut b = snap(7);
         b.host.workers = 8; // volatile: must not fail
-        b.host.pool_hits = 620;
+        b.host.profile.wall_ns = 6_200_000;
         let d = diff_snapshots(&a, &b, &DiffOptions::default());
         assert!(d.clean(), "unexpected drift: {}", d.render());
         assert!(d.render().contains("identical"));
@@ -282,7 +278,7 @@ mod tests {
     fn volatile_threshold_gates_only_when_asked() {
         let a = snap(7);
         let mut b = snap(7);
-        b.host.pool_hits = a.host.pool_hits * 10;
+        b.host.profile.wall_ns = a.host.profile.wall_ns * 10;
         assert!(diff_snapshots(&a, &b, &DiffOptions::default()).clean());
         let gated = diff_snapshots(&a, &b, &DiffOptions { volatile_pct: Some(0.25) });
         assert!(!gated.clean());

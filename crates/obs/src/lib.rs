@@ -93,8 +93,6 @@ pub struct ObsConfig {
     /// When set, flight-recorder dumps (`flight-<shard>.jsonl`) land in
     /// this directory and the process panic hook is armed.
     pub flight_dir: Option<String>,
-    /// Per-shard flight-recorder ring capacity (events kept per shard).
-    pub flight_capacity: usize,
 }
 
 impl Default for ObsConfig {
@@ -106,7 +104,6 @@ impl Default for ObsConfig {
             heartbeat_ms: DEFAULT_HEARTBEAT_MS,
             live_out: None,
             flight_dir: None,
-            flight_capacity: DEFAULT_FLIGHT_CAPACITY,
         }
     }
 }
@@ -158,12 +155,13 @@ impl ShardObs {
     }
 
     /// The full-fat constructor used by the study loop: shard identity plus
-    /// every capacity/path knob from the config.
+    /// the trace capacity and flight-dump directory from the config. Every
+    /// shard's flight ring holds [`DEFAULT_FLIGHT_CAPACITY`] events.
     pub fn for_shard(shard: u32, cfg: &ObsConfig) -> ShardObs {
         ShardObs {
             metrics: MetricRegistry::new(),
             trace: TraceRing::new(cfg.trace_capacity),
-            flight: FlightRecorder::new(cfg.flight_capacity),
+            flight: FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY),
             shard,
             flight_dir: cfg.flight_dir.as_ref().map(PathBuf::from),
         }
@@ -415,7 +413,6 @@ mod tests {
         let d = ObsConfig::default();
         assert!(d.enabled);
         assert_eq!(d.trace_capacity, DEFAULT_TRACE_CAPACITY);
-        assert_eq!(d.flight_capacity, DEFAULT_FLIGHT_CAPACITY);
         assert!(!d.heartbeat && d.live_out.is_none() && d.flight_dir.is_none());
         assert!(!d.live_requested(), "live output is opt-in");
         assert!(!ObsConfig::disabled().enabled);

@@ -5,7 +5,7 @@
 //! The split is the determinism contract made explicit: everything outside
 //! [`MetricsSnapshot::host`] is a pure function of `(seed, config)` —
 //! byte-identical across worker counts and across repeated runs. The `host`
-//! section (wall-clock profile, payload-pool statistics, worker count)
+//! section (wall-clock profile, query latencies, steals, worker count)
 //! depends on the machine and the scheduler; [`MetricsSnapshot::zero_wall_clock`]
 //! blanks it so tests can compare the remainder byte-for-byte.
 
@@ -22,7 +22,10 @@ use crate::profile::ProfileNode;
 /// v2: deterministic section gains `preset`; the volatile host section
 /// gains `steals` (work-stealing count — scheduler-timing dependent) and
 /// `latency` (wall-clock query-latency histograms from the QueryEngine).
-pub const SCHEMA_VERSION: u32 = 2;
+///
+/// v3: the host section drops the payload-pool hit/miss counters (the
+/// pool is gone).
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// Serializable summary of one histogram.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -66,10 +69,6 @@ impl HistogramSnapshot {
 pub struct HostStats {
     /// Resolved worker-thread count of the run.
     pub workers: u64,
-    /// Payload buffer pool hits across the process (see `ofh_net::Payload`).
-    pub pool_hits: u64,
-    /// Payload buffer pool misses.
-    pub pool_misses: u64,
     /// Shards executed by work-stealing rather than their home worker.
     /// Depends on scheduler timing, hence volatile.
     pub steals: u64,
@@ -140,13 +139,11 @@ impl MetricsSnapshot {
     }
 
     /// Blank every machine-dependent field (the whole `host` section),
-    /// keeping structure: profile node names survive, durations and pool
-    /// statistics go to zero. After this, two runs of the same seed must
+    /// keeping structure: profile node names survive, durations and
+    /// counts go to zero. After this, two runs of the same seed must
     /// serialize byte-identically regardless of worker count.
     pub fn zero_wall_clock(&mut self) {
         self.host.workers = 0;
-        self.host.pool_hits = 0;
-        self.host.pool_misses = 0;
         self.host.steals = 0;
         self.host.profile.zero_wall_clock();
         self.host.latency.clear();
@@ -263,7 +260,6 @@ mod tests {
         }
         let mut snap = MetricsSnapshot::from_registry(7, 16, "quick", &reg, vec![1; 16]);
         snap.host.workers = 8;
-        snap.host.pool_hits = 999;
         snap.host.steals = 3;
         snap.host.profile = ProfileNode::leaf("study", std::time::Duration::from_millis(3));
         let mut lat = Histogram::default();
@@ -305,7 +301,6 @@ mod tests {
         let mut snap = sample_snapshot();
         snap.zero_wall_clock();
         assert_eq!(snap.host.workers, 0);
-        assert_eq!(snap.host.pool_hits, 0);
         assert_eq!(snap.host.steals, 0);
         assert!(snap.host.latency.is_empty());
         assert_eq!(snap.host.profile.wall_ns, 0);

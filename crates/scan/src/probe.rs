@@ -8,7 +8,7 @@
 //! 3. how to normalize the collected bytes into the text the classifier and
 //!    tagger operate on — the "banner" the paper stores in its database.
 
-use ofh_net::{FastMap, Payload, PayloadBuilder};
+use ofh_net::{FastMap, Payload};
 use ofh_wire::coap::{parse_link_format, Message};
 use ofh_wire::mqtt::Packet;
 use ofh_wire::ssdp::msearch_all;
@@ -80,8 +80,8 @@ pub fn udp_probe(protocol: Protocol, message_id: u16) -> Option<Vec<u8>> {
 /// * TCP openings and the SSDP discover are address-invariant; handing one
 ///   out clones a shared [`Payload`] (a refcount bump, no bytes move);
 /// * the CoAP request varies only in its 16-bit message id, which
-///   [`ProbeTemplates::udp_probe`] patches into a pooled copy of the
-///   template at [`Message::MESSAGE_ID_RANGE`].
+///   [`ProbeTemplates::udp_probe`] patches into a copy of the template
+///   at [`Message::MESSAGE_ID_RANGE`].
 ///
 /// An oracle test asserts every cached/patched probe is byte-identical to a
 /// fresh [`tcp_opening`]/[`udp_probe`] encode.
@@ -112,17 +112,16 @@ impl ProbeTemplates {
     }
 
     /// The UDP probe datagram for `protocol` carrying `message_id`
-    /// (see [`udp_probe`]). CoAP patches the id into a pooled buffer;
-    /// everything else clones the shared template.
+    /// (see [`udp_probe`]). CoAP patches the id into a copy of the
+    /// template; everything else clones the shared template.
     pub fn udp_probe(&self, protocol: Protocol, message_id: u16) -> Option<Payload> {
         let template = self.udp.get(&protocol)?;
         if protocol != Protocol::Coap {
             return Some(template.clone());
         }
-        let mut buf = PayloadBuilder::new();
-        buf.extend_from_slice(template);
+        let mut buf = template.to_vec();
         buf[Message::MESSAGE_ID_RANGE].copy_from_slice(&message_id.to_be_bytes());
-        Some(buf.freeze())
+        Some(Payload::from(buf))
     }
 }
 

@@ -275,7 +275,7 @@ pub struct Scanner {
     grabs: FastMap<ConnToken, Grab>,
     udp_track: UdpTracker,
     /// Probe payloads encoded once at construction; the per-address CoAP
-    /// message id is patched into a pooled buffer (see
+    /// message id is patched into a copy of the template (see
     /// [`probe::ProbeTemplates`]).
     templates: probe::ProbeTemplates,
     rng: StdRng,

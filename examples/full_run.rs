@@ -28,15 +28,9 @@ fn main() {
         eprintln!("[{:>7.1?}] {phase}", t0.elapsed());
     });
     println!("{}", report.render_full());
-    // The observability snapshot: metric summary table, payload-pool hit
-    // rate, and the stage → shard → phase profile (wall vs cpu).
+    // The observability snapshot: metric summary table and the
+    // stage → shard → phase profile (wall vs cpu).
     eprint!("{}", report.metrics.render_summary());
-    let hits = report.metrics.host.pool_hits;
-    let total = hits + report.metrics.host.pool_misses;
-    eprintln!(
-        "payload pool: {hits}/{total} hits ({:.1}%)",
-        if total == 0 { 0.0 } else { 100.0 * hits as f64 / total as f64 }
-    );
     eprint!("{}", report.metrics.host.profile.render(1));
     eprintln!("elapsed: {:?}", t0.elapsed());
 }

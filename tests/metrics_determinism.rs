@@ -7,8 +7,8 @@
 //!    and across repeated runs at the same seed. The trace is fully
 //!    deterministic (spans are keyed on sim-time, never the wall clock).
 //!
-//! Wall-clock fields (the `host` section: profile tree, payload-pool
-//! statistics, worker count) are zeroed via
+//! Wall-clock fields (the `host` section: profile tree, query latencies,
+//! steals, worker count) are zeroed via
 //! [`MetricsSnapshot::zero_wall_clock`] before comparison.
 
 use ofh_core::obs::ObsConfig;
