@@ -80,14 +80,17 @@ done
 
 echo "==> store-smoke: query engine over the paper-smoke store + latency budget"
 # The query CLI runs against the store written above, the re-rendered
-# Table 4 must match the live study's, and a 10k-query mini workload must
+# Tables 4, 5 and 7 must match the live study's (5 and 7 read the derived
+# `misconfig` and `src_class` columns), and a 10k-query mini workload must
 # hold a (generous) point-lookup p99 budget.
 ./target/release/openforhire query --store "$OBS_TMP/paper_w1.store" info >/dev/null
-./target/release/openforhire query --store "$OBS_TMP/paper_w1.store" table 4 \
-    > "$OBS_TMP/store_table4.txt"
-./target/release/openforhire table 4 --preset paper-smoke > "$OBS_TMP/live_table4.txt"
-cmp "$OBS_TMP/store_table4.txt" "$OBS_TMP/live_table4.txt"
-echo "    store-derived Table 4 matches the live study render"
+for T in 4 5 7; do
+    ./target/release/openforhire query --store "$OBS_TMP/paper_w1.store" table "$T" \
+        > "$OBS_TMP/store_table$T.txt"
+    ./target/release/openforhire table "$T" --preset paper-smoke > "$OBS_TMP/live_table$T.txt"
+    cmp "$OBS_TMP/store_table$T.txt" "$OBS_TMP/live_table$T.txt"
+done
+echo "    store-derived Tables 4, 5 and 7 match the live study renders"
 BENCH_QUERY_N=10000 BENCH_QUERY_P99_BUDGET_US=5000 \
     BENCH_QUERY_OUT="$OBS_TMP/query.json" \
     cargo bench -q -p ofh-bench --bench query

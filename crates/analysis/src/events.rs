@@ -69,6 +69,20 @@ pub const DOS_EVENTS_PER_MINUTE: usize = 30;
 /// drowns).
 pub const DDOS_AGGREGATE_PER_MINUTE: usize = 60;
 
+/// Sources with more than this many events on one honeypot are recurring
+/// traffic, hence malicious (§4.3.1), whatever their event kinds.
+const RECURRING_EVENTS: usize = 6;
+
+/// What source classification needs to know about one (honeypot, src)
+/// pair, derived once when the dataset is merged.
+#[derive(Default)]
+struct SourceSummary {
+    events: usize,
+    /// Some event was of a malicious kind or fell in a flood episode
+    /// (single-source or distributed).
+    malicious: bool,
+}
+
 /// The merged honeypot event dataset.
 pub struct AttackDataset {
     pub events: Vec<AttackEvent>,
@@ -77,6 +91,8 @@ pub struct AttackDataset {
     /// Aggregate (distributed) flood episodes per (honeypot, protocol,
     /// minute).
     dos_minutes: BTreeSet<(&'static str, Protocol, u64)>,
+    /// Per-(honeypot, src) classification inputs, one entry per pair seen.
+    source_summaries: BTreeMap<(&'static str, Ipv4Addr), SourceSummary>,
 }
 
 impl AttackDataset {
@@ -106,11 +122,28 @@ impl AttackDataset {
             .filter(|(_, n)| *n >= DDOS_AGGREGATE_PER_MINUTE)
             .map(|(key, _)| key)
             .collect();
-        AttackDataset {
+        let mut dataset = AttackDataset {
             events,
             dos_sources,
             dos_minutes,
+            source_summaries: BTreeMap::new(),
+        };
+        let mut summaries: BTreeMap<(&'static str, Ipv4Addr), SourceSummary> = BTreeMap::new();
+        for e in &dataset.events {
+            let summary = summaries.entry((e.honeypot, e.src)).or_default();
+            summary.events += 1;
+            // Malicious event kinds and flood participation — single-source
+            // or as part of a distributed swarm — are malicious behaviour.
+            summary.malicious |= matches!(
+                e.kind,
+                EventKind::LoginAttempt { .. }
+                    | EventKind::PayloadDrop { .. }
+                    | EventKind::DataWrite { .. }
+                    | EventKind::ExploitSignature { .. }
+            ) || dataset.in_flood(e);
         }
+        dataset.source_summaries = summaries;
+        dataset
     }
 
     pub fn len(&self) -> usize {
@@ -132,7 +165,8 @@ impl AttackDataset {
         rdns.domain_of(src).is_some_and(|d| d.ends_with(".scanner.example"))
     }
 
-    /// Classify one source seen by one honeypot.
+    /// Classify one source seen by one honeypot. A pair with no events is
+    /// `Unknown` unless rDNS names a scanning service.
     pub fn classify_source(
         &self,
         rdns: &ReverseDns,
@@ -142,45 +176,33 @@ impl AttackDataset {
         if Self::is_scanning_service(rdns, src) {
             return SourceClass::ScanningService;
         }
-        let mut saw_malicious_kind = false;
-        let mut event_count = 0usize;
-        for e in self.events.iter().filter(|e| e.honeypot == honeypot && e.src == src) {
-            event_count += 1;
-            saw_malicious_kind |= matches!(
-                e.kind,
-                EventKind::LoginAttempt { .. }
-                    | EventKind::PayloadDrop { .. }
-                    | EventKind::DataWrite { .. }
-                    | EventKind::ExploitSignature { .. }
-            );
-            // Flood participation — single-source or as part of a
-            // distributed swarm — is malicious behaviour.
-            if self.dos_sources.contains(&(src, honeypot, e.protocol))
-                || self
-                    .dos_minutes
-                    .contains(&(honeypot, e.protocol, e.time.minute_index()))
-            {
-                saw_malicious_kind = true;
-            }
-        }
-        if saw_malicious_kind || event_count > 6 {
+        match self.source_summaries.get(&(honeypot, src)) {
             // Recurring non-service traffic and malicious payloads are
             // malicious (§4.3.1).
-            SourceClass::Malicious
-        } else {
-            SourceClass::Unknown
+            Some(s) if s.malicious || s.events > RECURRING_EVENTS => SourceClass::Malicious,
+            _ => SourceClass::Unknown,
         }
+    }
+
+    /// Every (honeypot, src) pair in the dataset, ordered by (honeypot, src).
+    pub(crate) fn source_pairs(&self) -> impl Iterator<Item = (&'static str, Ipv4Addr)> + '_ {
+        self.source_summaries.keys().copied()
+    }
+
+    /// Whether `event` falls in a single-source or aggregate flood episode.
+    fn in_flood(&self, event: &AttackEvent) -> bool {
+        self.dos_sources
+            .contains(&(event.src, event.honeypot, event.protocol))
+            || self.dos_minutes.contains(&(
+                event.honeypot,
+                event.protocol,
+                event.time.minute_index(),
+            ))
     }
 
     /// Attack type of one event, given the dataset's flood flags.
     pub fn attack_type(&self, event: &AttackEvent) -> AttackType {
-        if self
-            .dos_sources
-            .contains(&(event.src, event.honeypot, event.protocol))
-            || self
-                .dos_minutes
-                .contains(&(event.honeypot, event.protocol, event.time.minute_index()))
-        {
+        if self.in_flood(event) {
             // Everything in a flood episode is DoS traffic.
             if matches!(
                 event.kind,

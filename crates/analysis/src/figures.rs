@@ -423,7 +423,7 @@ impl Fig8 {
     pub fn pre_post_listing_means(&self) -> (f64, f64) {
         let first = self.listings.iter().map(|&(_, d)| d).min().unwrap_or(0) as usize;
         let last = self.listings.iter().map(|&(_, d)| d).max().unwrap_or(0) as usize;
-        let pre: Vec<u64> = self.per_day[..first.max(1)].to_vec();
+        let pre: Vec<u64> = self.per_day[..first.max(1).min(self.per_day.len())].to_vec();
         let post: Vec<u64> = self.per_day[(last + 1).min(self.per_day.len())..].to_vec();
         let mean = |v: &[u64]| {
             if v.is_empty() {
@@ -623,6 +623,26 @@ mod tests {
         let (pre, post) = fig8.pre_post_listing_means();
         assert!(post > pre);
         assert_eq!(fig8.listings[0].1, 4);
+    }
+
+    #[test]
+    fn fig8_listings_after_a_short_month() {
+        // A valid study may run fewer days than the fixed listing days
+        // (4, 7, 11, 15): the pre-listing window is then the whole month.
+        let ds = AttackDataset::merge(vec![vec![ev(
+            1,
+            "Cowrie",
+            Protocol::Telnet,
+            86_400_000 + 1_000,
+            EventKind::Connection,
+        )]]);
+        let listings: Vec<(&'static str, SimTime)> = [4u64, 7, 11, 15]
+            .iter()
+            .map(|&d| ("Shodan", SimTime(d * 86_400_000)))
+            .collect();
+        let fig8 = Fig8::compute(&ds, SimTime::ZERO, 3, &listings);
+        assert_eq!(fig8.per_day, vec![0, 1, 0]);
+        assert_eq!(fig8.pre_post_listing_means(), (1.0 / 3.0, 0.0));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Table 5 — misconfigured devices per protocol/vulnerability, after the
 //! honeypot-sanitization filter.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 use ofh_devices::Misconfig;
@@ -27,24 +27,34 @@ pub struct Table5 {
 }
 
 impl Table5 {
-    /// Classify `results`, removing `honeypot_filter` addresses first
-    /// (the §4.2 sanitization step).
+    /// Classify `results`, skipping `honeypot_filter` addresses (the §4.2
+    /// sanitization step). One pass, one classification per record.
     pub fn compute(results: &ScanResults, honeypot_filter: &BTreeSet<Ipv4Addr>) -> Table5 {
-        let mut filtered = results.clone();
-        let honeypots_filtered = filtered.remove_addrs(honeypot_filter);
+        let mut per_class: BTreeMap<Misconfig, BTreeSet<Ipv4Addr>> = BTreeMap::new();
+        let mut any: BTreeSet<Ipv4Addr> = BTreeSet::new();
+        let mut honeypots_filtered = 0usize;
+        for r in results.records.values() {
+            if honeypot_filter.contains(&r.addr) {
+                honeypots_filtered += 1;
+                continue;
+            }
+            if let Some(class) = r.misconfig() {
+                per_class.entry(class).or_default().insert(r.addr);
+                any.insert(r.addr);
+            }
+        }
         let mut rows: Vec<Table5Row> = Misconfig::ALL
             .iter()
             .map(|&class| Table5Row {
                 class,
-                devices: filtered.misconfigured_addrs(class).len() as u64,
+                devices: per_class.get(&class).map_or(0, |s| s.len() as u64),
             })
             .collect();
         // Table 5 is ordered ascending by count.
         rows.sort_by_key(|r| r.devices);
-        let total = filtered.all_misconfigured().len() as u64;
         Table5 {
             rows,
-            total,
+            total: any.len() as u64,
             honeypots_filtered,
         }
     }
@@ -58,9 +68,12 @@ impl Table5 {
         results: &ScanResults,
         honeypot_filter: &BTreeSet<Ipv4Addr>,
     ) -> BTreeSet<Ipv4Addr> {
-        let mut filtered = results.clone();
-        filtered.remove_addrs(honeypot_filter);
-        filtered.all_misconfigured()
+        results
+            .records
+            .values()
+            .filter(|r| !honeypot_filter.contains(&r.addr) && r.misconfig().is_some())
+            .map(|r| r.addr)
+            .collect()
     }
 
     pub fn render(&self) -> String {

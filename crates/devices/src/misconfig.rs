@@ -48,6 +48,23 @@ impl Misconfig {
         Misconfig::UpnpReflection,
     ];
 
+    /// The stable label of this class: its variant name, as the study
+    /// store's dictionaries spell it.
+    pub const fn label(self) -> &'static str {
+        match self {
+            Misconfig::CoapNoAuthAdmin => "CoapNoAuthAdmin",
+            Misconfig::AmqpNoAuth => "AmqpNoAuth",
+            Misconfig::TelnetNoAuth => "TelnetNoAuth",
+            Misconfig::XmppNoEncryption => "XmppNoEncryption",
+            Misconfig::CoapNoAuth => "CoapNoAuth",
+            Misconfig::TelnetNoAuthRoot => "TelnetNoAuthRoot",
+            Misconfig::MqttNoAuth => "MqttNoAuth",
+            Misconfig::XmppAnonymousLogin => "XmppAnonymousLogin",
+            Misconfig::CoapReflection => "CoapReflection",
+            Misconfig::UpnpReflection => "UpnpReflection",
+        }
+    }
+
     pub const fn protocol(self) -> Protocol {
         match self {
             Misconfig::CoapNoAuthAdmin | Misconfig::CoapNoAuth | Misconfig::CoapReflection => {
@@ -149,6 +166,15 @@ mod tests {
         assert_eq!(Misconfig::UpnpReflection.protocol(), Protocol::Upnp);
         assert_eq!(Misconfig::TelnetNoAuthRoot.protocol(), Protocol::Telnet);
         assert_eq!(Misconfig::XmppAnonymousLogin.protocol(), Protocol::Xmpp);
+    }
+
+    #[test]
+    fn labels_are_variant_names() {
+        // The study store's `misconfig` dictionary holds these labels, so
+        // they must stay exactly the Debug spelling the format started with.
+        for m in Misconfig::ALL {
+            assert_eq!(m.label(), format!("{m:?}"));
+        }
     }
 
     #[test]

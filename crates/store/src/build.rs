@@ -10,7 +10,7 @@
 //! (timestamps, host names, worker counts) enters the file: store bytes
 //! are a pure function of (seed, shards).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 use ofh_analysis::events::{AttackDataset, SourceClass};
@@ -29,11 +29,6 @@ use crate::segment::{SegmentWriter, TableBuilder};
 /// Label used in dictionary columns for "no value" (no misconfiguration,
 /// no device tag, no studied protocol on this port).
 pub const NONE_LABEL: &str = "-";
-
-/// The stable label of a misconfiguration class (its variant name).
-pub fn misconfig_label(m: Misconfig) -> String {
-    format!("{m:?}")
-}
 
 /// The stable label of a source classification.
 pub const fn source_class_label(c: SourceClass) -> &'static str {
@@ -87,12 +82,7 @@ fn build_scan_table(input: &StoreInput<'_>) -> Vec<u8> {
             addrs.push(u32::from(record.addr));
             ports.push(record.port);
             protocol.push(record.protocol.name());
-            misconfig.push(
-                &record
-                    .misconfig()
-                    .map(misconfig_label)
-                    .unwrap_or_else(|| NONE_LABEL.to_string()),
-            );
+            misconfig.push(record.misconfig().map_or(NONE_LABEL, Misconfig::label));
             device.push(record.device().map(|d| d.name).unwrap_or(NONE_LABEL));
             country.push(input.geo.country_of(record.addr).code());
             asns.push(asn_plus1(input.geo.asn_of(record.addr)));
@@ -135,18 +125,6 @@ fn build_events_table(input: &StoreInput<'_>) -> Vec<u8> {
     let dataset = input.dataset;
     let rows = dataset.events.len();
 
-    // Source classification is a property of the (honeypot, src) pair;
-    // classify each pair once, exactly as Table 7 does.
-    let pairs: BTreeSet<(&'static str, Ipv4Addr)> =
-        dataset.events.iter().map(|e| (e.honeypot, e.src)).collect();
-    let classes: BTreeMap<(&'static str, Ipv4Addr), &'static str> = pairs
-        .into_iter()
-        .map(|(hp, src)| {
-            let class = dataset.classify_source(input.rdns, hp, src);
-            ((hp, src), source_class_label(class))
-        })
-        .collect();
-
     let mut times: Vec<u64> = Vec::with_capacity(rows);
     let mut honeypot = DictBuilder::new();
     let mut protocol = DictBuilder::new();
@@ -166,7 +144,9 @@ fn build_events_table(input: &StoreInput<'_>) -> Vec<u8> {
         src_ports.push(e.src_port);
         kind.push(e.kind.name());
         attack_type.push(dataset.attack_type(e).name());
-        src_class.push(classes[&(e.honeypot, e.src)]);
+        src_class.push(source_class_label(
+            dataset.classify_source(input.rdns, e.honeypot, e.src),
+        ));
         country.push(input.geo.country_of(e.src).code());
         asns.push(asn_plus1(input.geo.asn_of(e.src)));
     }

@@ -17,7 +17,7 @@ use ofh_devices::Misconfig;
 use ofh_honeypots::HoneypotKind;
 use ofh_wire::Protocol;
 
-use crate::build::{misconfig_label, NONE_LABEL};
+use crate::build::NONE_LABEL;
 use crate::bytes::{FormatError, Result};
 use crate::query::StoreReader;
 
@@ -35,7 +35,7 @@ pub fn misconfig_from_label(label: &str) -> Result<Misconfig> {
     Misconfig::ALL
         .iter()
         .copied()
-        .find(|&m| misconfig_label(m) == label)
+        .find(|m| m.label() == label)
         .ok_or_else(|| FormatError(format!("unknown misconfig label {label:?}")))
 }
 
