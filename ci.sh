@@ -123,4 +123,12 @@ echo "    mini scaling grid written and well-formed"
 echo "==> bench suite, smoke mode (every body runs once, no timing)"
 cargo bench -p ofh-bench -- --test
 
+echo "==> e2ebench smoke: BENCHMARK.json contract + every workload for 1 s"
+# The end-to-end benchmark is a package of its own, outside the workspace,
+# so nothing above builds it. Its tests check BENCHMARK.json against the
+# metric tables, then run every workload for one second traced and
+# untraced, including the golden, rerun and outside-recompute checks — a
+# public-API change that breaks the benchmark fails here.
+cargo test --release --offline --manifest-path e2ebench/Cargo.toml
+
 echo "==> ci.sh: all green"

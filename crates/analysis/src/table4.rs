@@ -48,18 +48,20 @@ pub struct Table4 {
 
 impl Table4 {
     pub fn compute(zmap: &ScanResults, sonar: &ScanResults, shodan: &ScanResults) -> Table4 {
+        // One walk per source; a protocol a source never saw counts 0.
+        let counts = |source: &ScanResults| {
+            let by_protocol = source.exposed_hosts_by_protocol();
+            move |p: Protocol| by_protocol.get(&p).copied().unwrap_or(0) as u64
+        };
+        let (zmap, sonar, shodan) = (counts(zmap), counts(sonar), counts(shodan));
         // Table 4 is ordered ascending by the ZMap column.
         let mut rows: Vec<Table4Row> = Protocol::SCANNED
             .iter()
             .map(|&p| Table4Row {
                 protocol: p,
-                zmap: zmap.exposed_hosts(p) as u64,
-                sonar: if ofh_scan::datasets::sonar_coverage(p).is_some() {
-                    Some(sonar.exposed_hosts(p) as u64)
-                } else {
-                    None
-                },
-                shodan: shodan.exposed_hosts(p) as u64,
+                zmap: zmap(p),
+                sonar: ofh_scan::datasets::sonar_coverage(p).map(|_| sonar(p)),
+                shodan: shodan(p),
             })
             .collect();
         rows.sort_by_key(|r| r.zmap);

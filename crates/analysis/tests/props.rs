@@ -1,6 +1,6 @@
 //! Property tests for the analysis layer: totality and partition invariants
 //! over arbitrary event streams, and differential checks of the one-pass
-//! source classification and Table 5 against naive references.
+//! source classification and Tables 4 and 5 against naive references.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
@@ -10,6 +10,7 @@ use ofh_analysis::events::{
     DOS_EVENTS_PER_MINUTE,
 };
 use ofh_analysis::figures::AttackTypeBreakdown;
+use ofh_analysis::table4::Table4;
 use ofh_analysis::table5::Table5;
 use ofh_analysis::table7::Table7;
 use ofh_devices::Misconfig;
@@ -363,6 +364,59 @@ proptest! {
         events in prop::collection::vec(arb_event(), 0..200),
     ) {
         check_against_naive(events, &ReverseDns::new());
+    }
+
+    /// The one-walk Table 4 counts equal the per-protocol `exposed_hosts`
+    /// reference. Every ZMap source holds one host on two Telnet ports and
+    /// one on three protocols, and the Shodan source is empty.
+    #[test]
+    fn table4_one_walk_matches_exposed_hosts(
+        zmap in prop::collection::vec(arb_record(), 0..120),
+        sonar in prop::collection::vec(arb_record(), 0..120),
+    ) {
+        let source = |name: &str, records: Vec<HostRecord>| {
+            let mut results = ScanResults::new(name);
+            for r in records {
+                results.insert(r);
+            }
+            results
+        };
+        let fixed = |addr: u32, protocol: Protocol, port: u16| HostRecord {
+            addr: Ipv4Addr::from(0xc0a8_0100 + addr),
+            port,
+            protocol,
+            response: String::new(),
+            raw: Vec::new(),
+        };
+        let mut zmap = source("ZMap Scan", zmap);
+        for r in [
+            fixed(0, Protocol::Telnet, 23),
+            fixed(0, Protocol::Telnet, 2323),
+            fixed(1, Protocol::Telnet, 23),
+            fixed(1, Protocol::Mqtt, 1883),
+            fixed(1, Protocol::Coap, 5683),
+        ] {
+            zmap.insert(r);
+        }
+        let sonar = source("Project Sonar", sonar);
+        let shodan = ScanResults::new("Shodan");
+
+        let t4 = Table4::compute(&zmap, &sonar, &shodan);
+        let mut expected: Vec<(Protocol, u64, Option<u64>, u64)> = Protocol::SCANNED
+            .iter()
+            .map(|&p| {
+                (
+                    p,
+                    zmap.exposed_hosts(p) as u64,
+                    ofh_scan::datasets::sonar_coverage(p).map(|_| sonar.exposed_hosts(p) as u64),
+                    shodan.exposed_hosts(p) as u64,
+                )
+            })
+            .collect();
+        expected.sort_by_key(|&(_, zmap, _, _)| zmap);
+        let rows: Vec<(Protocol, u64, Option<u64>, u64)> =
+            t4.rows.iter().map(|r| (r.protocol, r.zmap, r.sonar, r.shodan)).collect();
+        prop_assert_eq!(rows, expected);
     }
 
     /// The one-pass Table 5 and misconfigured-address set equal filtering

@@ -3,16 +3,18 @@
 //! A study runs in four stages:
 //!
 //! 1. **Global setup** — population synthesis, attack plan, oracles, geo
-//!    database. Seed-only, computed once, shared read-only by every shard.
+//!    database, the signature automaton, and the partition of every
+//!    per-address input into per-shard shares. Seed-only, computed once,
+//!    shared read-only by every shard.
 //! 2. **Sharded execution** — the address space is split into
 //!    [`StudyConfig::shards`] deterministic shards ([`ofh_net::shard`]);
 //!    each shard is an independent [`SimNet`] simulating only the devices,
 //!    wild honeypots and attackers its shard owns (plus a replica of the
 //!    deployed honeypots and the telescope tap, which the whole Internet
 //!    talks to). Shards run on [`StudyConfig::workers`] threads.
-//! 3. **Deterministic merge** — per-shard artifacts are folded in shard
-//!    order with order-independent reducers (disjoint map unions, canonical
-//!    sorts), so the merged artifacts depend only on (seed, shards) —
+//! 3. **Deterministic merge** — per-shard artifacts are merged in shard
+//!    order (disjoint map unions, stable sorts whose ties keep shard
+//!    order), so the merged artifacts depend only on (seed, shards) —
 //!    never on the worker count or thread scheduling.
 //! 4. **Analysis** — every table and figure is computed once from the
 //!    merged artifacts, exactly as before sharding existed.
@@ -24,6 +26,7 @@
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use ofh_analysis::events::AttackDataset;
 use ofh_analysis::figures::{AttackTypeBreakdown, Fig2, Fig3, Fig5, Fig6, Fig8, Fig9};
@@ -37,7 +40,7 @@ use ofh_analysis::table7::Table7;
 use ofh_attack::plan::{AttackPlan, HoneypotSet, PlanConfig};
 use ofh_attack::{AttackerAgent, InfectedDevice};
 use ofh_devices::arena::HostArena;
-use ofh_devices::population::{Population, PopulationBuilder, PopulationSpec};
+use ofh_devices::population::{DeviceRecord, Population, PopulationBuilder, PopulationSpec};
 use ofh_fingerprint::{engine, FingerprintProber, FingerprintReport, SignatureDb};
 use ofh_honeypots::{
     AttackEvent, ConpotHoneypot, CowrieHoneypot, DionaeaHoneypot, HosTaGeHoneypot,
@@ -64,23 +67,84 @@ pub struct Study {
 /// Read-only inputs shared by every shard worker.
 struct ShardInputs<'a> {
     cfg: &'a StudyConfig,
-    population: &'a Population,
-    wild: &'a [(Ipv4Addr, WildHoneypot)],
+    records: &'a [DeviceRecord],
     plan: &'a AttackPlan,
     honeypots: HoneypotSet,
     infected_tasks: &'a BTreeMap<usize, Vec<ofh_attack::Task>>,
-    geo: &'a GeoDb,
-    /// Per-shard sparse scan-target indexes for paper-scale universes
-    /// (`None` keeps the dense range walk). Indexed by shard: each shard's
-    /// sweeps walk only the offsets that shard owns, so total permutation
-    /// work stays O(index) at any shard count instead of O(index × shards).
-    /// The `Arc` inside each entry makes per-sweep clones free.
-    scan_targets: Option<Vec<TargetSpace>>,
+    /// Each shard's share of the per-address inputs, indexed by shard.
+    parts: Vec<ShardPart>,
+    /// The Table 6 automaton every shard's passive fingerprint stage uses.
+    signatures: &'a SignatureDb,
+    /// The geo database every telescope tap annotates from; a tap holds a
+    /// clone of the `Arc`, never of the database.
+    geo: &'a Arc<GeoDb>,
     /// Live-telemetry progress cells (one per shard), present only when the
     /// run asked for a heartbeat or a `--live-out` stream. Volatile: the
     /// reporter thread samples these racily; nothing deterministic reads
     /// them.
     live: Option<std::sync::Arc<ofh_obs::LiveProgress>>,
+}
+
+/// One shard's share of the per-address inputs, bucketed by
+/// [`ofh_net::shard_of`] once at setup, so no shard walks the records the
+/// other shards own. Each list keeps its input's order (record, allocation
+/// or plan order): the order a shard attaches its hosts in is the order it
+/// would get by filtering the whole input with [`ShardSpec::owns`].
+#[derive(Default)]
+struct ShardPart {
+    /// Devices without bot schedules (indexes into `Population::records`).
+    hosts: Vec<usize>,
+    /// Infected devices (indexes into `Population::records`, keys of the
+    /// bot schedules).
+    infected: Vec<usize>,
+    wild: Vec<(Ipv4Addr, WildHoneypot)>,
+    /// Indexes into `AttackPlan::actors`.
+    actors: Vec<usize>,
+    /// The shard's sparse scan-target index on paper-scale universes
+    /// (`None` keeps the dense range walk). The `Arc` inside makes
+    /// per-sweep clones free.
+    targets: Option<TargetSpace>,
+}
+
+/// Bot schedules per infected device record index.
+fn bot_schedules(plan: &AttackPlan) -> BTreeMap<usize, Vec<ofh_attack::Task>> {
+    let mut tasks: BTreeMap<usize, Vec<ofh_attack::Task>> = BTreeMap::new();
+    for inf in plan.infected.iter().chain(&plan.censys_extra) {
+        tasks
+            .entry(inf.record_idx)
+            .or_default()
+            .extend(inf.tasks.iter().cloned());
+    }
+    tasks
+}
+
+/// Bucket devices, infected devices, wild honeypots and attack-plan actors
+/// by owning shard: one hash per input, instead of one per input per shard.
+fn partition_inputs(
+    shards: u32,
+    population: &Population,
+    infected_tasks: &BTreeMap<usize, Vec<ofh_attack::Task>>,
+    wild: &[(Ipv4Addr, WildHoneypot)],
+    plan: &AttackPlan,
+) -> Vec<ShardPart> {
+    let mut parts: Vec<ShardPart> = (0..shards).map(|_| ShardPart::default()).collect();
+    let mut infected = infected_tasks.keys().copied().peekable();
+    for (i, record) in population.records.iter().enumerate() {
+        let part = &mut parts[ofh_net::shard_of(record.addr, shards) as usize];
+        if infected.next_if_eq(&i).is_some() {
+            part.infected.push(i);
+        } else {
+            part.hosts.push(i);
+        }
+    }
+    debug_assert!(infected.peek().is_none(), "bot schedule for a missing record");
+    for &(addr, family) in wild {
+        parts[ofh_net::shard_of(addr, shards) as usize].wild.push((addr, family));
+    }
+    for (i, actor) in plan.actors.iter().enumerate() {
+        parts[ofh_net::shard_of(actor.addr, shards) as usize].actors.push(i);
+    }
+    parts
 }
 
 /// The streaming host population of one shard: non-infected devices live in
@@ -95,21 +159,11 @@ struct ShardSpawner {
 }
 
 impl ShardSpawner {
-    fn build(inputs: &ShardInputs<'_>, spec: ShardSpec) -> ShardSpawner {
-        let arena = HostArena::from_records(
-            inputs
-                .population
-                .records
-                .iter()
-                .enumerate()
-                .filter(|(i, r)| spec.owns(r.addr) && !inputs.infected_tasks.contains_key(i))
-                .map(|(_, r)| r),
-            |_| true,
-        );
-        let mut wild: Vec<(u32, WildHoneypot)> = inputs
+    fn build(records: &[DeviceRecord], part: &ShardPart) -> ShardSpawner {
+        let arena = HostArena::from_records(part.hosts.iter().map(|&i| &records[i]), |_| true);
+        let mut wild: Vec<(u32, WildHoneypot)> = part
             .wild
             .iter()
-            .filter(|&&(addr, _)| spec.owns(addr))
             .map(|&(addr, family)| (u32::from(addr), family))
             .collect();
         wild.sort_unstable_by_key(|&(addr, _)| addr);
@@ -291,8 +345,9 @@ impl Study {
         let oracles = Oracles::populate(cfg.seed, &plan, &population);
 
         // Extend the geo database over the attacker space so telescope
-        // records carry source countries for those actors too.
-        let mut geo = population.geo.clone();
+        // records carry source countries for those actors too. Nothing reads
+        // the population's copy from here on, so it is moved, not cloned.
+        let mut geo = std::mem::take(&mut population.geo);
         let attacker_space = universe.attacker_space();
         let chunk = 1u64 << (32 - geo.prefix_len());
         let mut a = u32::from(attacker_space.first()) as u64;
@@ -302,26 +357,30 @@ impl Study {
             a += chunk;
         }
 
-        // Bot schedules per infected device record index.
-        let mut infected_tasks: BTreeMap<usize, Vec<ofh_attack::Task>> = BTreeMap::new();
-        for inf in plan.infected.iter().chain(&plan.censys_extra) {
-            infected_tasks
-                .entry(inf.record_idx)
-                .or_default()
-                .extend(inf.tasks.iter().cloned());
+        let infected_tasks = bot_schedules(&plan);
+
+        // Every read-only shard input is built here, once per study: the
+        // per-shard shares of the per-address inputs, the signature
+        // automaton and the shared geo database.
+        let mut parts = partition_inputs(cfg.shards, &population, &infected_tasks, &wild, &plan);
+        // Paper-scale universes switch the sweeps to the sparse target
+        // index: a dense walk of 2^32 addresses per sweep replica is
+        // intractable, and the occupied set plus a dark-space sample is all
+        // a probe can ever hit.
+        if universe.bits >= 28 {
+            let index = build_scan_index(cfg, &population, &wild, &plan, &honeypots);
+            for (part, targets) in parts.iter_mut().zip(index) {
+                part.targets = Some(targets);
+            }
         }
+        let signatures = SignatureDb::new();
+        let geo = Arc::new(geo);
 
         // ---- 3. Sharded execution --------------------------------------
         let setup_node = setup_sw.leaf("setup");
         let workers = cfg.worker_threads();
         progress("simulating shards");
         let simulate_sw = Stopwatch::start();
-        // Paper-scale universes switch the sweeps to the sparse target
-        // index: a dense walk of 2^32 addresses per sweep replica is
-        // intractable, and the occupied set plus a dark-space sample is all
-        // a probe can ever hit.
-        let scan_targets = (universe.bits >= 28)
-            .then(|| build_scan_index(cfg, &population, &wild, &plan, &honeypots));
         // Live telemetry and the flight recorder are armed here, not in the
         // shards: the reporter is one process-wide thread sampling every
         // shard's progress cell, and the panic hook is process-wide state.
@@ -348,13 +407,13 @@ impl Study {
         });
         let inputs = ShardInputs {
             cfg,
-            population: &population,
-            wild: &wild,
+            records: &population.records,
             plan: &plan,
             honeypots,
             infected_tasks: &infected_tasks,
+            parts,
+            signatures: &signatures,
             geo: &geo,
-            scan_targets,
             live,
         };
         let mut steals_total: u64 = 0;
@@ -405,6 +464,9 @@ impl Study {
         if let Some(r) = reporter {
             r.stop();
         }
+        // Free the shard shares before the merge allocates, and end the
+        // borrow of `geo` so the merge can unwrap it.
+        drop(inputs);
         outputs.sort_by_key(|(index, _)| *index);
         let mut simulate_node = ProfileNode::new("simulate");
         simulate_node.wall_ns = simulate_sw.elapsed().as_nanos() as u64;
@@ -412,12 +474,13 @@ impl Study {
         // ---- 4. Deterministic merge ------------------------------------
         progress("merging shard results");
         let merge_sw = Stopwatch::start();
-        let mut zmap_results = ScanResults::new("ZMap Scan");
-        let mut sonar_results = ScanResults::new("Project Sonar");
-        let mut shodan_results = ScanResults::new("Shodan");
+        let shards = outputs.len();
+        let mut zmap_parts = Vec::with_capacity(shards);
+        let mut sonar_parts = Vec::with_capacity(shards);
+        let mut shodan_parts = Vec::with_capacity(shards);
+        let mut telescope_parts = Vec::with_capacity(shards);
         let mut fingerprint_report = FingerprintReport::default();
         let mut logs: Vec<Vec<AttackEvent>> = vec![Vec::new(); 6];
-        let mut telescope = Telescope::new(GeoDb::new());
         let mut counters = Counters::default();
         // Metric registries and trace rings merge order-independently
         // (counters sum, gauges max, histograms add bucket-wise; the trace
@@ -425,7 +488,7 @@ impl Study {
         // artifacts — like the report — depend only on (seed, shards).
         let mut registry = MetricRegistry::new();
         let mut trace = TraceLog::default();
-        let mut per_shard_events: Vec<u64> = Vec::with_capacity(cfg.shards as usize);
+        let mut per_shard_events: Vec<u64> = Vec::with_capacity(shards);
         let mut scan_resilience = ofh_scan::ScanResilience::default();
         let mut conns_shed: u64 = 0;
         let mut leaked: u64 = 0;
@@ -433,14 +496,14 @@ impl Study {
             scan_resilience.absorb(&out.resilience);
             conns_shed += out.conns_shed;
             leaked += out.leaked;
-            zmap_results.absorb(out.zmap);
-            sonar_results.absorb(out.sonar);
-            shodan_results.absorb(out.shodan);
+            zmap_parts.push(out.zmap);
+            sonar_parts.push(out.sonar);
+            shodan_parts.push(out.shodan);
             fingerprint_report.absorb(out.fingerprint);
             for (merged, shard_log) in logs.iter_mut().zip(out.logs) {
                 merged.extend(shard_log);
             }
-            telescope.absorb(out.telescope);
+            telescope_parts.push(out.telescope);
             counters.absorb(&out.counters);
             per_shard_events.push(out.counters.events_processed);
             if let Some(shard_obs) = out.obs {
@@ -449,6 +512,13 @@ impl Study {
             }
             simulate_node.push_child(out.profile);
         }
+        // Shard parts are sorted runs in shard order: one bulk pass each.
+        let zmap_results = ScanResults::merge("ZMap Scan", zmap_parts);
+        let sonar_results = ScanResults::merge("Project Sonar", sonar_parts);
+        let shodan_results = ScanResults::merge("Shodan", shodan_parts);
+        let telescope = Telescope::merge(telescope_parts);
+        // The merge dropped the last tap, and with it the last shared handle.
+        let geo = Arc::try_unwrap(geo).expect("a telescope tap outlived the merge");
         fingerprint_report.normalize();
         trace.finish();
         // Fold the fabric counters in, so the snapshot carries the network
@@ -598,6 +668,8 @@ impl Study {
 fn run_shard(inputs: &ShardInputs<'_>, spec: ShardSpec) -> ShardOutput {
     let cfg = inputs.cfg;
     let universe = cfg.universe;
+    let part = &inputs.parts[spec.index as usize];
+    let records = inputs.records;
 
     // Install this shard's recording target for the duration of its
     // simulation. A shard runs to completion on one thread (the dispenser
@@ -625,16 +697,18 @@ fn run_shard(inputs: &ShardInputs<'_>, spec: ShardSpec) -> ShardOutput {
     });
     let telescope_tap = net.add_tap(
         universe.dark_space(),
-        Box::new(Telescope::new(inputs.geo.clone())),
+        Box::new(Telescope::new(Arc::clone(inputs.geo))),
     );
 
     // Devices the shard owns — infected ones get their bot schedules.
     match cfg.population {
         PopulationMode::Eager => {
-            for (i, record) in inputs.population.records.iter().enumerate() {
-                if !spec.owns(record.addr) {
-                    continue;
-                }
+            // Record order, infected or not.
+            let mut devices: Vec<usize> =
+                part.hosts.iter().chain(&part.infected).copied().collect();
+            devices.sort_unstable();
+            for i in devices {
+                let record = &records[i];
                 let agent = record.build_agent();
                 match inputs.infected_tasks.get(&i) {
                     Some(tasks) => {
@@ -645,28 +719,23 @@ fn run_shard(inputs: &ShardInputs<'_>, spec: ShardSpec) -> ShardOutput {
                     }
                 }
             }
-            for &(addr, family) in inputs.wild {
-                if spec.owns(addr) {
-                    net.attach(addr, Box::new(WildHoneypotAgent::new(family)));
-                }
+            for &(addr, family) in &part.wild {
+                net.attach(addr, Box::new(WildHoneypotAgent::new(family)));
             }
         }
         PopulationMode::Implicit => {
             // Only infected devices exist from the start (their boot
             // schedules the bot tasks); everything else streams out of the
             // shard's arena on first touch.
-            for (i, record) in inputs.population.records.iter().enumerate() {
-                if !spec.owns(record.addr) {
-                    continue;
-                }
-                if let Some(tasks) = inputs.infected_tasks.get(&i) {
-                    net.attach(
-                        record.addr,
-                        Box::new(InfectedDevice::new(record.build_agent(), tasks.clone())),
-                    );
-                }
+            for &i in &part.infected {
+                let record = &records[i];
+                let tasks = inputs.infected_tasks[&i].clone();
+                net.attach(
+                    record.addr,
+                    Box::new(InfectedDevice::new(record.build_agent(), tasks)),
+                );
             }
-            net.set_spawner(Box::new(ShardSpawner::build(inputs, spec)));
+            net.set_spawner(Box::new(ShardSpawner::build(records, part)));
         }
     }
 
@@ -682,10 +751,9 @@ fn run_shard(inputs: &ShardInputs<'_>, spec: ShardSpec) -> ShardOutput {
     let dionaea_id = net.attach(honeypots.dionaea, Box::new(DionaeaHoneypot::new()));
 
     // Attackers the shard owns.
-    for actor in &inputs.plan.actors {
-        if spec.owns(actor.addr) {
-            net.attach(actor.addr, Box::new(AttackerAgent::new(actor.tasks.clone())));
-        }
+    for &i in &part.actors {
+        let actor = &inputs.plan.actors[i];
+        net.attach(actor.addr, Box::new(AttackerAgent::new(actor.tasks.clone())));
     }
 
     // Scanners (ours + the dataset providers): every shard runs a replica
@@ -702,8 +770,8 @@ fn run_shard(inputs: &ShardInputs<'_>, spec: ShardSpec) -> ShardOutput {
                 spec.seed(cfg.seed ^ 0x5A4D_4150, "scan"),
             );
             c.shard = spec;
-            if let Some(ts) = &inputs.scan_targets {
-                c.targets = ts[spec.index as usize].clone();
+            if let Some(ts) = &part.targets {
+                c.targets = ts.clone();
             }
             c
         })
@@ -721,8 +789,8 @@ fn run_shard(inputs: &ShardInputs<'_>, spec: ShardSpec) -> ShardOutput {
         let shard_cfgs = |mut cfgs: Vec<ScannerConfig>| {
             for c in &mut cfgs {
                 c.shard = spec;
-                if let Some(ts) = &inputs.scan_targets {
-                    c.targets = ts[spec.index as usize].clone();
+                if let Some(ts) = &part.targets {
+                    c.targets = ts.clone();
                 }
             }
             cfgs
@@ -768,15 +836,15 @@ fn run_shard(inputs: &ShardInputs<'_>, spec: ShardSpec) -> ShardOutput {
     net.run_until(scan_end);
     profile.push_child(phase_sw.leaf("scan"));
     let phase_sw = Stopwatch::start();
-    let zmap = net
-        .agent_downcast_mut::<Scanner>(zmap_id)
-        .expect("zmap scanner")
-        .results
-        .clone();
+    let zmap = std::mem::take(
+        &mut net
+            .agent_downcast_mut::<Scanner>(zmap_id)
+            .expect("zmap scanner")
+            .results,
+    );
 
     // ---- Fingerprint phase ---------------------------------------------
-    let signature_db = SignatureDb::new();
-    let candidates = engine::passive_candidates(&signature_db, &zmap);
+    let candidates = engine::passive_candidates(inputs.signatures, &zmap);
     let candidate_count = candidates.len();
     let prober_id = net.attach(
         Ipv4Addr::from(scanner_base + 3),
@@ -802,8 +870,8 @@ fn run_shard(inputs: &ShardInputs<'_>, spec: ShardSpec) -> ShardOutput {
         .agent_downcast_mut::<FingerprintProber>(prober_id)
         .expect("prober");
     leaked += prober.leaked_state();
-    let fingerprint = prober.report.clone();
-    // Fold in the zmap scanner's retry accounting (its results were cloned
+    let fingerprint = std::mem::take(&mut prober.report);
+    // Fold in the zmap scanner's retry accounting (its results were taken
     // at the scan boundary above, after the retry tail drained).
     {
         let s = net.agent_downcast_mut::<Scanner>(zmap_id).expect("zmap scanner");
@@ -897,7 +965,7 @@ fn extract_results(
     let s = net.agent_downcast_mut::<Scanner>(id).expect("scanner agent");
     resilience.absorb(&s.resilience);
     *leaked += s.leaked_state();
-    s.results.clone()
+    std::mem::take(&mut s.results)
 }
 
 /// Ground-truth-free helper used by tests: build just the population.
@@ -913,4 +981,61 @@ pub fn population_for(cfg: &StudyConfig) -> Population {
 /// Export used by report rendering.
 pub fn country_name(c: Country) -> &'static str {
     c.name()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The one-time partition gives each shard exactly the inputs that
+    /// filtering every input with `ShardSpec::owns` selects, in input
+    /// order, and no infected device enters a shard's arena.
+    #[test]
+    fn partition_matches_per_shard_ownership_filter() {
+        let cfg = StudyConfig::quick(7);
+        let population = population_for(&cfg);
+        let plan = AttackPlan::build(
+            &PlanConfig {
+                seed: cfg.seed,
+                hp_scale: cfg.hp_scale,
+                infected_scale: (cfg.scan_scale / cfg.infected_oversample).max(1),
+                universe: cfg.universe,
+                month_start: cfg.month_start(),
+                month_days: cfg.month_days,
+                honeypots: HoneypotSet::in_lab(&cfg.universe),
+            },
+            &population,
+        );
+        let infected_tasks = bot_schedules(&plan);
+        assert!(!infected_tasks.is_empty());
+        let wild: Vec<(Ipv4Addr, WildHoneypot)> = (0..200u32)
+            .zip(WildHoneypot::ALL.iter().cycle())
+            .map(|(i, &family)| (Ipv4Addr::from(0x0a00_0000 + i * 7_919), family))
+            .collect();
+        let records = &population.records;
+
+        for shards in [1, 16, 64] {
+            let parts = partition_inputs(shards, &population, &infected_tasks, &wild, &plan);
+            assert_eq!(parts.len(), shards as usize);
+            for (spec, part) in ShardSpec::all(shards).zip(&parts) {
+                let (infected, hosts): (Vec<usize>, Vec<usize>) = (0..records.len())
+                    .filter(|&i| spec.owns(records[i].addr))
+                    .partition(|i| infected_tasks.contains_key(i));
+                assert_eq!(part.hosts, hosts, "hosts of {spec:?}");
+                assert_eq!(part.infected, infected, "infected of {spec:?}");
+                let wild_owned: Vec<(Ipv4Addr, WildHoneypot)> =
+                    wild.iter().copied().filter(|&(addr, _)| spec.owns(addr)).collect();
+                assert_eq!(part.wild, wild_owned, "wild honeypots of {spec:?}");
+                let actors: Vec<usize> = (0..plan.actors.len())
+                    .filter(|&i| spec.owns(plan.actors[i].addr))
+                    .collect();
+                assert_eq!(part.actors, actors, "actors of {spec:?}");
+
+                let spawner = ShardSpawner::build(records, part);
+                assert_eq!(spawner.arena.len(), part.hosts.len());
+                assert!(part.hosts.iter().all(|&i| spawner.arena.contains(records[i].addr)));
+                assert!(part.infected.iter().all(|&i| !spawner.arena.contains(records[i].addr)));
+            }
+        }
+    }
 }

@@ -63,11 +63,20 @@ impl ScanResults {
         self.records.insert((record.addr, record.port), record);
     }
 
-    /// Fold another dataset of the same source into this one (the sharded
-    /// engine unions per-shard sweeps; their key sets are disjoint because
-    /// each shard probes only the addresses it owns).
-    pub fn absorb(&mut self, other: ScanResults) {
-        self.records.extend(other.records);
+    /// Merge per-shard datasets of one source. Collecting the concatenated
+    /// parts builds the map in bulk (`BTreeMap`'s `FromIterator` stable-sorts
+    /// the sorted shard runs once, then builds the tree from the sorted
+    /// sequence) instead of inserting record by record. The parts' key sets
+    /// must be disjoint: a shard only probes the addresses it owns.
+    pub fn merge(source: impl Into<String>, parts: impl IntoIterator<Item = ScanResults>) -> Self {
+        let parts: Vec<ScanResults> = parts.into_iter().collect();
+        let total: usize = parts.iter().map(ScanResults::len).sum();
+        let records: BTreeMap<_, _> = parts.into_iter().flat_map(|p| p.records).collect();
+        debug_assert_eq!(records.len(), total, "an (addr, port) key appears in two parts");
+        ScanResults {
+            source: source.into(),
+            records,
+        }
     }
 
     pub fn len(&self) -> usize {
@@ -82,6 +91,26 @@ impl ScanResults {
     /// counts once even if seen on two ports, e.g. Telnet 23+2323).
     pub fn exposed_hosts(&self, protocol: Protocol) -> usize {
         self.unique_addrs(protocol).len()
+    }
+
+    /// [`Self::exposed_hosts`] for every protocol in one walk. Records are
+    /// keyed by (address, port), so one host's records are adjacent and
+    /// each (address, protocol) pair is counted the first time it shows.
+    pub fn exposed_hosts_by_protocol(&self) -> BTreeMap<Protocol, usize> {
+        let mut counts = BTreeMap::new();
+        let mut host = None;
+        let mut seen: Vec<Protocol> = Vec::new();
+        for r in self.records.values() {
+            if host != Some(r.addr) {
+                host = Some(r.addr);
+                seen.clear();
+            }
+            if !seen.contains(&r.protocol) {
+                seen.push(r.protocol);
+                *counts.entry(r.protocol).or_insert(0) += 1;
+            }
+        }
+        counts
     }
 
     /// The set of unique addresses responsive on a protocol.
@@ -163,8 +192,13 @@ mod tests {
         rs.insert(record("10.0.0.1", 23, Protocol::Telnet, "login:"));
         rs.insert(record("10.0.0.1", 2323, Protocol::Telnet, "login:"));
         rs.insert(record("10.0.0.2", 23, Protocol::Telnet, "$ "));
-        assert_eq!(rs.len(), 3);
+        rs.insert(record("10.0.0.2", 1883, Protocol::Mqtt, "MQTT Connection Code:0"));
+        assert_eq!(rs.len(), 4);
         assert_eq!(rs.exposed_hosts(Protocol::Telnet), 2);
+        let by_protocol = rs.exposed_hosts_by_protocol();
+        assert_eq!(by_protocol[&Protocol::Telnet], 2);
+        assert_eq!(by_protocol[&Protocol::Mqtt], 1);
+        assert_eq!(by_protocol.len(), 2);
     }
 
     #[test]

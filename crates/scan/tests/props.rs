@@ -1,10 +1,50 @@
 //! Property tests for the scanning layer.
 
-use ofh_scan::{classify_response, AddressPermutation};
+use std::collections::BTreeMap;
+use std::net::Ipv4Addr;
+
+use ofh_scan::{classify_response, AddressPermutation, HostRecord, ScanResults};
 use ofh_wire::Protocol;
 use proptest::prelude::*;
 
+/// Disjoint per-shard datasets: a set of distinct (address, port) keys, each
+/// dealt to one of `shards` parts (some parts may stay empty).
+fn arb_disjoint_parts() -> impl Strategy<Value = Vec<ScanResults>> {
+    (
+        1usize..8,
+        prop::collection::vec(((0u32..64, 0u16..4), (any::<u8>(), "[a-z]{0,6}")), 0..150),
+    )
+        .prop_map(|(shards, records)| {
+            let keys: BTreeMap<(u32, u16), (u8, String)> = records.into_iter().collect();
+            let mut parts: Vec<ScanResults> =
+                (0..shards).map(|_| ScanResults::new("ZMap Scan")).collect();
+            for ((addr, port), (deal, response)) in keys {
+                parts[deal as usize % shards].insert(HostRecord {
+                    addr: Ipv4Addr::from(0x0a00_0000 + addr),
+                    port: 23 + port,
+                    protocol: Protocol::Telnet,
+                    raw: response.as_bytes().to_vec(),
+                    response,
+                });
+            }
+            parts
+        })
+}
+
 proptest! {
+    /// The bulk merge equals folding the parts in with `BTreeMap::extend`,
+    /// the record-by-record union it replaced.
+    #[test]
+    fn merge_matches_extend_fold(parts in arb_disjoint_parts()) {
+        let mut expected = BTreeMap::new();
+        for part in &parts {
+            expected.extend(part.records.clone());
+        }
+        let merged = ScanResults::merge("ZMap Scan", parts);
+        prop_assert_eq!(merged.source.as_str(), "ZMap Scan");
+        prop_assert_eq!(merged.records, expected);
+    }
+
     /// The address permutation is a bijection over arbitrary sizes.
     #[test]
     fn permutation_bijection(size in 1u64..30_000, seed in any::<u64>()) {

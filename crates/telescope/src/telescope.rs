@@ -2,6 +2,7 @@
 //! files.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use ofh_intel::GeoDb;
 use ofh_net::sim::FlowTap;
@@ -16,15 +17,18 @@ use crate::flowtuple::FlowTuple;
 pub struct Telescope {
     /// minute index -> records in that minute.
     minutes: BTreeMap<u64, Vec<FlowTuple>>,
-    geo: GeoDb,
+    /// Read-only annotation source, shared by every tap of a sharded study.
+    geo: Arc<GeoDb>,
     total: u64,
 }
 
 impl Telescope {
-    pub fn new(geo: GeoDb) -> Telescope {
+    /// A telescope annotating flows from `geo`. Pass an `Arc` to share one
+    /// database between many taps, or a plain [`GeoDb`] for a private one.
+    pub fn new(geo: impl Into<Arc<GeoDb>>) -> Telescope {
         Telescope {
             minutes: BTreeMap::new(),
-            geo,
+            geo: geo.into(),
             total: 0,
         }
     }
@@ -58,21 +62,25 @@ impl Telescope {
             .flat_map(|(_, recs)| recs.iter())
     }
 
-    /// Fold another telescope's capture into this one (the sharded engine
-    /// merges per-shard telescopes). Records land in their minute files and
-    /// each touched minute is re-sorted into a canonical order, so the
-    /// merged capture is independent of how the records were split across
-    /// shards.
-    pub fn absorb(&mut self, other: Telescope) {
-        for (minute, mut recs) in other.minutes {
-            self.total += recs.len() as u64;
-            let file = self.minutes.entry(minute).or_default();
-            file.append(&mut recs);
-            file.sort_by(|a, b| {
-                (a.time, a.src_ip, a.dst_ip, a.src_port, a.dst_port, a.protocol)
-                    .cmp(&(b.time, b.src_ip, b.dst_ip, b.src_port, b.dst_port, b.protocol))
-            });
+    /// Merge per-shard captures, in shard order, into one. Every shard's
+    /// records are appended to their minute files and each file is then
+    /// stable-sorted once by the flow key (time, addresses, ports,
+    /// protocol). Records that tie on the key keep shard order, then
+    /// capture order, so the merged capture is a pure function of the parts
+    /// and their order. The merged telescope only serves reads; its geo
+    /// database is empty and the parts' databases are released.
+    pub fn merge(parts: impl IntoIterator<Item = Telescope>) -> Telescope {
+        let mut merged = Telescope::new(GeoDb::new());
+        for part in parts {
+            merged.total += part.total;
+            for (minute, mut recs) in part.minutes {
+                merged.minutes.entry(minute).or_default().append(&mut recs);
+            }
         }
+        for file in merged.minutes.values_mut() {
+            file.sort_by_key(|r| (r.time, r.src_ip, r.dst_ip, r.src_port, r.dst_port, r.protocol));
+        }
+        merged
     }
 
     /// Export one minute file as JSON lines (CAIDA's FlowTuple v4 is JSON).
@@ -161,10 +169,15 @@ mod tests {
     }
 
     #[test]
-    fn absorb_merges_minutes_canonically() {
-        // Split one observation stream across two telescopes, merge both
-        // ways: identical captures.
-        let all = [obs_at(10_000, 23), obs_at(20_000, 1883), obs_at(70_000, 23)];
+    fn merge_sorts_each_minute_file() {
+        // Split one observation stream across two telescopes and merge
+        // them: the minute files come out in flow-key order, and ties keep
+        // shard order.
+        let mut late_port = obs_at(20_000, 1883);
+        late_port.src_port = 50_000;
+        let mut tie = obs_at(10_000, 23);
+        tie.ttl = 99;
+        let all = [late_port, obs_at(20_000, 1883), obs_at(70_000, 23), obs_at(10_000, 23), tie];
         let split = |idx: &[usize]| {
             let mut t = Telescope::new(GeoDb::new());
             for &i in idx {
@@ -172,14 +185,19 @@ mod tests {
             }
             t
         };
-        let mut a = split(&[0, 2]);
-        a.absorb(split(&[1]));
-        let mut b = split(&[1]);
-        b.absorb(split(&[0, 2]));
-        assert_eq!(a.total_records(), 3);
-        assert_eq!(a.minute_file_count(), 2);
-        assert_eq!(a.minute_file_jsonl(0), b.minute_file_jsonl(0));
-        assert_eq!(a.minute_file_jsonl(1), b.minute_file_jsonl(1));
+        let t = Telescope::merge([split(&[0, 2, 4]), split(&[1, 3])]);
+        assert_eq!(t.total_records(), 5);
+        assert_eq!(t.minute_file_count(), 2);
+        let minute0: Vec<(u64, u16, u8)> = t
+            .minute_file(0)
+            .iter()
+            .map(|r| (r.time.0, r.src_port, r.ttl))
+            .collect();
+        assert_eq!(
+            minute0,
+            [(10_000, 40_000, 99), (10_000, 40_000, 40), (20_000, 40_000, 40), (20_000, 50_000, 40)]
+        );
+        assert_eq!(t.minute_file(1).len(), 1);
     }
 
     #[test]
