@@ -32,12 +32,16 @@ trap 'rm -rf "$OBS_TMP"' EXIT
 cargo run --release -q --example obs_validate -- "$OBS_TMP/metrics.json" "$OBS_TMP/trace.jsonl"
 
 echo "==> chaos smoke: hostile schedule, workers 1 vs 8, byte-for-byte"
-./target/release/openforhire study --preset quick --faults hostile --workers 1 \
-    > "$OBS_TMP/chaos_w1.txt"
-./target/release/openforhire study --preset quick --faults hostile --workers 8 \
-    > "$OBS_TMP/chaos_w8.txt"
+# Hostile runs are where unserved datagrams meet fault duplicates, so the
+# snapshots (event counts included) are compared as well as the reports.
+for W in 1 8; do
+    ./target/release/openforhire study --preset quick --faults hostile --workers "$W" \
+        --metrics-out "$OBS_TMP/chaos_w$W.json" > "$OBS_TMP/chaos_w$W.txt"
+done
 cmp "$OBS_TMP/chaos_w1.txt" "$OBS_TMP/chaos_w8.txt"
 echo "    reports identical under faults at workers 1 and 8"
+./target/release/openforhire obsdiff "$OBS_TMP/chaos_w1.json" "$OBS_TMP/chaos_w8.json"
+echo "    snapshots under faults: deterministic sections identical (exit 0)"
 
 echo "==> paper-smoke: report, store and snapshot invariant across workers"
 # paper-smoke is the down-sampled twin of paper-scale: the full IPv4 address
@@ -57,7 +61,7 @@ cmp "$OBS_TMP/paper_w1.store" "$OBS_TMP/paper_w4.store"
 echo "    paper-smoke stores byte-identical at workers 1 and 4"
 ./target/release/openforhire obsdiff "$OBS_TMP/paper_w1.json" "$OBS_TMP/paper_w4.json"
 echo "    paper-smoke snapshots: deterministic sections identical (exit 0)"
-cargo test --release -q -p ofh-net --test wheel_props --test lazy_hosts
+cargo test --release -q -p ofh-net --test wheel_props --test lazy_hosts --test stateless_probes
 cargo test --release -q --test parallel_determinism implicit_population_matches_eager
 
 echo "==> scaling-smoke: report bytes invariant across workers at fixed shard counts"

@@ -49,7 +49,7 @@ use ofh_honeypots::{
 use ofh_intel::{Country, GeoDb};
 use ofh_net::rng::rng_for;
 use ofh_net::sim::Counters;
-use ofh_net::{Agent, AgentId, HostSpawner, ShardSpec, SimNet, SimNetConfig, SimTime};
+use ofh_net::{Agent, AgentId, HostSpawner, ShardSpec, SimNet, SimNetConfig, SimTime, Transport};
 use ofh_obs::{MetricRegistry, MetricsSnapshot, ProfileNode, ShardObs, Stopwatch, TraceLog};
 use ofh_scan::{datasets, scan_start, ScanResults, Scanner, ScannerConfig, TargetSpace};
 use ofh_telescope::{Telescope, TelescopeSummary};
@@ -153,6 +153,10 @@ fn partition_inputs(
 /// (see [`ofh_net::HostSpawner`] for the contract this satisfies). Infected
 /// devices are *excluded* — their `on_boot` schedules bot tasks, so they
 /// must exist from simulation start and stay eagerly attached.
+///
+/// The spawner also answers the port question for every host it owns, from
+/// the same rule the agents' guards use, so probes and datagrams to ports a
+/// host does not serve never wake it.
 struct ShardSpawner {
     arena: HostArena,
     wild: Vec<(u32, WildHoneypot)>,
@@ -189,6 +193,16 @@ impl HostSpawner for ShardSpawner {
         }
         self.wild_family(addr)
             .map(|family| Box::new(WildHoneypotAgent::new(family)) as Box<dyn Agent>)
+    }
+
+    fn serves(&self, addr: Ipv4Addr, transport: Transport, port: u16) -> Option<bool> {
+        if let Some(slot) = self.arena.lookup(addr) {
+            return Some(self.arena.serves(slot, transport, port));
+        }
+        // A wild honeypot accepts TCP on its family's port and nothing else
+        // (`WildHoneypotAgent::on_tcp_open`; it has no UDP handler).
+        self.wild_family(addr)
+            .map(|family| transport == Transport::Tcp && port == family.port())
     }
 }
 
@@ -525,6 +539,7 @@ impl Study {
         // totals (including fault-injection drops/corruptions) without the
         // hot path paying for a second count of each event.
         registry.count("net.events_processed", "", counters.events_processed);
+        registry.count("net.events_elided", "", counters.events_elided);
         registry.count("net.syns_sent", "", counters.syns_sent);
         registry.count("net.conns_established", "", counters.conns_established);
         registry.count("net.conns_refused", "", counters.conns_refused);

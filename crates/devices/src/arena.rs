@@ -24,7 +24,7 @@
 use std::net::Ipv4Addr;
 
 use ofh_intel::Country;
-use ofh_net::Agent;
+use ofh_net::{Agent, Transport};
 use ofh_wire::Protocol;
 
 use crate::credentials::CredentialEntry;
@@ -106,6 +106,14 @@ impl HostArena {
             port: self.ports[slot],
             default_creds: self.creds[slot],
         }
+    }
+
+    /// Whether the host at `slot` serves `port` over `transport` — the
+    /// agent's own port guard ([`crate::endpoints::serves`]) answered from
+    /// the protocol and port columns, without building the agent.
+    #[inline]
+    pub fn serves(&self, slot: usize, transport: Transport, port: u16) -> bool {
+        crate::endpoints::serves(self.protocols[slot], self.ports[slot], transport, port)
     }
 
     /// Instantiate the behavioural agent for `slot`. Pure function of the

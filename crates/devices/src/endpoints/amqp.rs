@@ -11,9 +11,9 @@
 use std::collections::HashMap;
 
 use ofh_net::Payload;
-use ofh_net::{Agent, ConnToken, NetCtx, SockAddr, TcpDecision};
+use ofh_net::{Agent, ConnToken, NetCtx, SockAddr, TcpDecision, Transport};
 use ofh_wire::amqp::{frame_type, ConnectionStart, Frame, PROTOCOL_HEADER};
-use ofh_wire::ports;
+use ofh_wire::{ports, Protocol};
 
 use crate::misconfig::Misconfig;
 
@@ -80,7 +80,7 @@ impl Agent for AmqpDevice {
         local_port: u16,
         _peer: SockAddr,
     ) -> TcpDecision {
-        if local_port != ports::AMQP {
+        if !super::serves(Protocol::Amqp, ports::AMQP, Transport::Tcp, local_port) {
             return TcpDecision::Refuse;
         }
         self.started.insert(conn, false);

@@ -11,9 +11,9 @@
 //! * configured — `4.01 Unauthorized` to everything (exposed but safe).
 
 use ofh_net::Payload;
-use ofh_net::{Agent, NetCtx, SockAddr};
+use ofh_net::{Agent, NetCtx, SockAddr, Transport};
 use ofh_wire::coap::{render_link_format, Code, LinkEntry, Message, MsgType};
-use ofh_wire::ports;
+use ofh_wire::{ports, Protocol};
 
 use crate::misconfig::Misconfig;
 
@@ -50,7 +50,7 @@ impl CoapDevice {
 
 impl Agent for CoapDevice {
     fn on_udp(&mut self, ctx: &mut NetCtx<'_>, local_port: u16, peer: SockAddr, payload: &Payload) {
-        if local_port != ports::COAP {
+        if !super::serves(Protocol::Coap, ports::COAP, Transport::Udp, local_port) {
             return;
         }
         let Ok(req) = Message::decode(payload) else {

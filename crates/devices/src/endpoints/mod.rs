@@ -23,3 +23,30 @@ pub use mqtt::MqttDevice;
 pub use telnet::TelnetDevice;
 pub use upnp::UpnpDevice;
 pub use xmpp::XmppDevice;
+
+use ofh_net::Transport;
+use ofh_wire::{ports, Protocol};
+
+/// The port rule of the device population: whether a device speaking
+/// `protocol`, listening on `record_port`, serves `port` over `transport`.
+///
+/// Only Telnet devices read `record_port` (23, or 2323 for the alternate
+/// population); every other protocol serves its fixed ports. Every
+/// population endpoint's `on_tcp_open` / `on_udp` guard is this call, and so
+/// is [`HostArena::serves`](crate::HostArena::serves), which answers the
+/// fabric's stateless-probe question (`ofh_net::HostSpawner::serves`)
+/// without building the agent. A `false` here means the agent refuses the
+/// SYN or ignores the datagram with no other effect.
+pub fn serves(protocol: Protocol, record_port: u16, transport: Transport, port: u16) -> bool {
+    match (protocol, transport) {
+        (Protocol::Telnet, Transport::Tcp) => port == record_port,
+        (Protocol::Mqtt, Transport::Tcp) => port == ports::MQTT,
+        (Protocol::Amqp, Transport::Tcp) => port == ports::AMQP,
+        (Protocol::Xmpp, Transport::Tcp) => {
+            port == ports::XMPP_CLIENT || port == ports::XMPP_SERVER
+        }
+        (Protocol::Coap, Transport::Udp) => port == ports::COAP,
+        (Protocol::Upnp, Transport::Udp) => port == ports::SSDP,
+        _ => false,
+    }
+}

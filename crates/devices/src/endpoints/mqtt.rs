@@ -12,8 +12,9 @@
 use std::collections::HashMap;
 
 use ofh_net::Payload;
-use ofh_net::{Agent, ConnToken, NetCtx, SockAddr, TcpDecision};
+use ofh_net::{Agent, ConnToken, NetCtx, SockAddr, TcpDecision, Transport};
 use ofh_wire::mqtt::{ConnectReturnCode, Packet};
+use ofh_wire::{ports, Protocol};
 
 use crate::misconfig::Misconfig;
 
@@ -156,7 +157,7 @@ impl Agent for MqttDevice {
         local_port: u16,
         _peer: SockAddr,
     ) -> TcpDecision {
-        if local_port != ofh_wire::ports::MQTT {
+        if !super::serves(Protocol::Mqtt, ports::MQTT, Transport::Tcp, local_port) {
             return TcpDecision::Refuse;
         }
         self.authed.insert(conn, false);

@@ -11,8 +11,9 @@
 //!   actually break into.
 
 use ofh_net::Payload;
-use ofh_net::{Agent, ConnToken, NetCtx, SockAddr, TcpDecision};
+use ofh_net::{Agent, ConnToken, NetCtx, SockAddr, TcpDecision, Transport};
 use ofh_wire::telnet::{negotiate, option, Verb};
+use ofh_wire::Protocol;
 
 use crate::misconfig::Misconfig;
 
@@ -92,7 +93,7 @@ impl Agent for TelnetDevice {
         local_port: u16,
         _peer: SockAddr,
     ) -> TcpDecision {
-        if local_port != self.port {
+        if !super::serves(Protocol::Telnet, self.port, Transport::Tcp, local_port) {
             return TcpDecision::Refuse;
         }
         let state = if self.misconfig.is_some() && self.misconfig != Some(Misconfig::TelnetNoAuth) {

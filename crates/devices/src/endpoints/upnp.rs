@@ -14,9 +14,9 @@
 //! information content the paper's pipeline extracted.
 
 use ofh_net::Payload;
-use ofh_net::{Agent, NetCtx, SockAddr};
-use ofh_wire::ports;
+use ofh_net::{Agent, NetCtx, SockAddr, Transport};
 use ofh_wire::ssdp::{DeviceDescription, SsdpMessage};
+use ofh_wire::{ports, Protocol};
 
 use crate::misconfig::Misconfig;
 
@@ -51,7 +51,7 @@ impl UpnpDevice {
 
 impl Agent for UpnpDevice {
     fn on_udp(&mut self, ctx: &mut NetCtx<'_>, local_port: u16, peer: SockAddr, payload: &Payload) {
-        if local_port != ports::SSDP {
+        if !super::serves(Protocol::Upnp, ports::SSDP, Transport::Udp, local_port) {
             return;
         }
         let Ok(text) = std::str::from_utf8(payload) else {

@@ -11,9 +11,9 @@
 use std::collections::HashMap;
 
 use ofh_net::Payload;
-use ofh_net::{Agent, ConnToken, NetCtx, SockAddr, TcpDecision};
-use ofh_wire::ports;
+use ofh_net::{Agent, ConnToken, NetCtx, SockAddr, TcpDecision, Transport};
 use ofh_wire::xmpp::{Mechanism, StreamFeatures, TlsPolicy};
+use ofh_wire::{ports, Protocol};
 
 use crate::misconfig::Misconfig;
 
@@ -70,7 +70,12 @@ impl Agent for XmppDevice {
         local_port: u16,
         _peer: SockAddr,
     ) -> TcpDecision {
-        if local_port != ports::XMPP_CLIENT && local_port != ports::XMPP_SERVER {
+        if !super::serves(
+            Protocol::Xmpp,
+            ports::XMPP_CLIENT,
+            Transport::Tcp,
+            local_port,
+        ) {
             return TcpDecision::Refuse;
         }
         self.opened.insert(conn, false);

@@ -176,6 +176,20 @@ impl<'a> NetCtx<'a> {
         self.fabric.tcp_connect(self.me, self.my_addr, sport, dst, tag)
     }
 
+    /// Send a probe SYN to `dst` from an ephemeral port, ZMap-style: the
+    /// caller treats a refusal or a timeout as "nothing there" and ignores
+    /// those callbacks. A probe that connects behaves exactly like
+    /// [`Self::tcp_connect_tagged`] (the tag and peer are on the
+    /// connection). With no fault schedule, a probe into unoccupied space or
+    /// to a port an implicit host does not serve is stateless: the fabric
+    /// counts its timeout or refusal at once and may deliver no callback
+    /// for it at all, hence no token. The taps see the SYN either way.
+    pub fn tcp_probe_tagged(&mut self, dst: SockAddr, tag: u64) {
+        let sport = self.fabric.next_ephemeral_port();
+        self.fabric
+            .tcp_probe(self.me, self.my_addr, sport, dst, tag);
+    }
+
     /// The tag attached at connect time (`None` once the connection is gone).
     pub fn conn_tag(&self, conn: ConnToken) -> Option<u64> {
         self.fabric.conn_tag(conn)

@@ -22,9 +22,10 @@
 //!   line — the paper's pipelines only ever observe banners, payloads, and flow
 //!   metadata, all of which are delivered faithfully.
 //! * **Sparse occupancy.** The simulated Internet may span 2^32 addresses, but
-//!   only occupied addresses carry agents; probes to empty space cost one heap
-//!   event. A flow tap can be attached to a CIDR range of *unoccupied* space,
-//!   which is exactly how the paper's /8 network telescope works.
+//!   only occupied addresses carry agents; without faults a scanner's probe
+//!   to empty space or to a closed port costs no event at all. A flow tap
+//!   can be attached to a CIDR range of *unoccupied* space, which is exactly
+//!   how the paper's /8 network telescope works.
 //!
 //! The crate deliberately contains no IoT/scanning logic: it knows about
 //! addresses, time, packets, sessions, faults, and agents — nothing else.

@@ -10,6 +10,13 @@
 //!   a refusal; a churned-dark host as a timeout). Connecting to unoccupied
 //!   space times out; to an occupied host with a refusing agent, produces an
 //!   RST (`on_tcp_refused`).
+//! * **TCP probe** ([`NetCtx::tcp_probe_tagged`]): a connect whose caller
+//!   ignores failure callbacks, as a ZMap-style scanner does. With no fault
+//!   schedule, a probe into unoccupied space, or to a spawner host that does
+//!   not serve the port ([`HostSpawner::serves`]), is *stateless*: it is
+//!   counted, observed by the taps and answered at send time, and it takes
+//!   no connection slot and schedules no event. Every other probe is a
+//!   plain connect.
 //! * **TCP data**: reliable and ordered once established (retransmission is
 //!   below the abstraction line), delivered after the connection's fixed
 //!   per-pair latency plus any scheduled jitter — clamped so delivery stays
@@ -24,6 +31,23 @@
 //! them, which is how scheduled outages produce real gaps in the telescope's
 //! capture. Churned-dark hosts, by contrast, drop traffic at the host, so
 //! taps still observe it.
+//!
+//! ## Events that do nothing are never scheduled
+//!
+//! Besides stateless probes, two more events are provably no-ops when
+//! dispatched, so the fabric counts them in [`Counters::events_elided`]
+//! instead of scheduling them:
+//!
+//! * a datagram to a spawner host that does not serve its port (the agent
+//!   would ignore it; every fault draw happens at send time, so this holds
+//!   under any schedule);
+//! * the `ConnTimeout` backstop of a SYN that reaches a present host with no
+//!   fault schedule, when `2 × latency < syn_timeout`: the host's answer
+//!   always notifies the client first. On a tie the backstop fires first
+//!   (it is scheduled first), so it is kept.
+//!
+//! `events_processed + events_elided` is the event count of a fabric that
+//! schedules everything.
 //!
 //! ## Observation taps
 //!
@@ -110,6 +134,11 @@ impl Default for SimNetConfig {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Counters {
     pub events_processed: u64,
+    /// Events never scheduled because their dispatch would do nothing:
+    /// 1 per stateless SYN into unoccupied space, 3 per stateless SYN to a
+    /// closed port, 1 per unserved datagram (2 when duplicated) and 1 per
+    /// skipped `ConnTimeout` backstop (see the module docs).
+    pub events_elided: u64,
     pub syns_sent: u64,
     pub conns_established: u64,
     pub conns_refused: u64,
@@ -134,6 +163,7 @@ impl Counters {
     /// sums per-shard counters into the report's aggregate).
     pub fn absorb(&mut self, other: &Counters) {
         self.events_processed += other.events_processed;
+        self.events_elided += other.events_elided;
         self.syns_sent += other.syns_sent;
         self.conns_established += other.conns_established;
         self.conns_refused += other.conns_refused;
@@ -247,11 +277,37 @@ enum NetEvent {
 ///   only boot-inert agents (plain devices, wild honeypots) may be implicit.
 ///   Hosts with boot-time behaviour (infected devices scheduling bot tasks)
 ///   stay eagerly attached.
+/// * [`Self::spawn`] returns an agent for every address [`Self::occupied`]
+///   claims: traffic already in flight to a host must find it.
+/// * [`Self::serves`] must agree with the spawned agent's port guards. A
+///   `Some(false)` lets the fabric skip delivery, so it must mean that the
+///   agent refuses a SYN to that port, or ignores a datagram to it, with no
+///   other effect.
 pub trait HostSpawner {
     /// Whether an implicit host exists at `addr`. Must be stable.
     fn occupied(&self, addr: Ipv4Addr) -> bool;
     /// Materialize the host's agent. Called at most once per address.
     fn spawn(&mut self, addr: Ipv4Addr) -> Option<Box<dyn Agent>>;
+    /// Whether the host at `addr` serves `port` over `transport`, answered
+    /// without spawning it. `None` means no knowledge and keeps the full
+    /// delivery path; `Some` may only be returned for occupied addresses.
+    /// Must be stable, like [`Self::occupied`].
+    fn serves(&self, addr: Ipv4Addr, transport: Transport, port: u16) -> Option<bool> {
+        let _ = (addr, transport, port);
+        None
+    }
+}
+
+/// What traffic toward a socket would reach, decided at send time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Reach {
+    /// Nothing is at the address.
+    Empty,
+    /// A spawner host whose agent does not serve the port.
+    Unserved,
+    /// A host that serves the port, or may: attached agents and spawners
+    /// without port knowledge always land here.
+    Host,
 }
 
 /// The network fabric: everything except the agents themselves. Split out so
@@ -432,6 +488,70 @@ impl Fabric {
         self.tap_hits = hits;
     }
 
+    /// A SYN on the wire toward `dst`, as every tap covering `dst` sees it.
+    fn observe_syn(&mut self, client: AgentId, client_sock: SockAddr, dst: SockAddr) {
+        let ttl = self.ttls[client.0 as usize];
+        let window = self.windows[client.0 as usize];
+        self.observe(
+            client_sock,
+            dst,
+            Transport::Tcp,
+            FlowKind::TcpSyn,
+            ttl,
+            FlowObservation::SYN,
+            window,
+            &Payload::empty(),
+            false,
+        );
+    }
+
+    /// A connect whose caller ignores failure callbacks. Without faults, a
+    /// SYN into unoccupied space or to a port the spawner host does not
+    /// serve is answered here and now: the timeout or refusal the full path
+    /// would deliver is counted, and nothing is stored or scheduled. The
+    /// refusal must beat the backstop for this to hold; every other probe
+    /// is a plain [`Self::tcp_connect`].
+    pub(crate) fn tcp_probe(
+        &mut self,
+        client: AgentId,
+        client_addr: Ipv4Addr,
+        src_port: u16,
+        dst: SockAddr,
+        tag: u64,
+    ) {
+        if self.cfg.faults.is_none() {
+            let latency = self.cfg.latency.one_way(client_addr, dst.addr);
+            let refused = match self.reach(dst, Transport::Tcp) {
+                Reach::Empty => Some(false),
+                Reach::Unserved if self.answer_beats_backstop(latency) => Some(true),
+                _ => None,
+            };
+            if let Some(refused) = refused {
+                self.counters.syns_sent += 1;
+                self.egress[client.0 as usize].tcp_initiated += 1;
+                self.observe_syn(client, SockAddr::new(client_addr, src_port), dst);
+                if refused {
+                    // SynArrive (the agent refuses), ConnOutcome, backstop.
+                    self.counters.conns_refused += 1;
+                    self.counters.events_elided += 3;
+                } else {
+                    // The ConnTimeout backstop.
+                    self.counters.conn_timeouts += 1;
+                    self.counters.events_elided += 1;
+                }
+                return;
+            }
+        }
+        self.tcp_connect(client, client_addr, src_port, dst, tag);
+    }
+
+    /// Whether a host's answer to a SYN, two one-way `latency`s after it
+    /// was sent, reaches the client strictly before the `ConnTimeout`
+    /// backstop. On a tie the backstop, scheduled first, wins.
+    fn answer_beats_backstop(&self, latency: SimDuration) -> bool {
+        latency + latency < self.cfg.syn_timeout
+    }
+
     pub(crate) fn tcp_connect(
         &mut self,
         client: AgentId,
@@ -476,27 +596,24 @@ impl Fabric {
         // destination network; dark-host suppression happens at the host, so
         // the wire (and the telescope) still sees the SYN.
         if !matches!(verdict, SynVerdict::Lost | SynVerdict::RateLimited) {
-            let ttl = self.ttls[client.0 as usize];
-            let window = self.windows[client.0 as usize];
-            self.observe(
-                client_sock,
-                dst,
-                Transport::Tcp,
-                FlowKind::TcpSyn,
-                ttl,
-                FlowObservation::SYN,
-                window,
-                &Payload::empty(),
-                false,
-            );
+            self.observe_syn(client, client_sock, dst);
         }
         let now = self.queue.now();
-        // The timeout backstop always exists; it is ignored if an outcome
-        // reaches the client first.
-        self.queue
-            .schedule(now + self.cfg.syn_timeout, NetEvent::ConnTimeout { conn: id });
+        let delivered = verdict == SynVerdict::Deliver && self.host_present(dst.addr);
+        // The timeout backstop catches SYNs nobody answers. Without faults
+        // a delivered SYN is always answered (SynArrive schedules a
+        // ConnOutcome), so the backstop is only needed when the answer
+        // could come too late.
+        if self.cfg.faults.is_none() && delivered && self.answer_beats_backstop(latency) {
+            self.counters.events_elided += 1;
+        } else {
+            self.queue.schedule(
+                now + self.cfg.syn_timeout,
+                NetEvent::ConnTimeout { conn: id },
+            );
+        }
         match verdict {
-            SynVerdict::Deliver if self.host_present(dst.addr) => {
+            SynVerdict::Deliver if delivered => {
                 self.queue
                     .schedule(now + latency, NetEvent::SynArrive { conn: id });
             }
@@ -674,7 +791,14 @@ impl Fabric {
             &payload,
             spoofed,
         );
-        if !self.host_present(dst.addr) {
+        let reach = self.reach(dst, Transport::Udp);
+        if reach == Reach::Empty {
+            return;
+        }
+        if reach == Reach::Unserved {
+            // The agent would ignore it: count the arrivals, schedule none.
+            self.counters.udp_datagrams_duplicated += u64::from(duplicate);
+            self.counters.events_elided += 1 + u64::from(duplicate);
             return;
         }
         let latency = self.cfg.latency.one_way(src.addr, dst.addr) + jitter;
@@ -724,6 +848,23 @@ impl Fabric {
     fn host_present(&self, addr: Ipv4Addr) -> bool {
         self.by_addr.contains_key(&addr)
             || self.spawner.as_ref().is_some_and(|s| s.occupied(addr))
+    }
+
+    /// Where traffic to `dst` over `transport` would land. A spawner host
+    /// is asked about its port even once materialized: its agent's guards
+    /// are the spawner's answer. Never materializes anything.
+    fn reach(&self, dst: SockAddr, transport: Transport) -> Reach {
+        if !self.host_present(dst.addr) {
+            return Reach::Empty;
+        }
+        match self
+            .spawner
+            .as_ref()
+            .and_then(|s| s.serves(dst.addr, transport, dst.port))
+        {
+            Some(false) => Reach::Unserved,
+            _ => Reach::Host,
+        }
     }
 
     /// Evaluate the fault schedule for an outbound SYN toward `dst`.
@@ -943,8 +1084,8 @@ impl SimNet {
 
     /// The agent at `addr`, materializing an implicit host on first touch.
     /// Called from delivery paths only (SYN and UDP arrivals): occupancy
-    /// was already decided at send time, so a `None` here means the address
-    /// is genuinely empty.
+    /// was already decided at send time, so the host is there unless a
+    /// spawner broke its contract.
     fn resolve_host(&mut self, addr: Ipv4Addr) -> Option<AgentId> {
         if let Some(id) = self.fabric.by_addr.get(&addr).copied() {
             return Some(id);
@@ -1180,9 +1321,12 @@ impl SimNet {
                     return;
                 };
                 let (dst_sock, client_sock) = (c.server_sock, c.client_sock);
-                let Some(server_id) = self.resolve_host(dst_sock.addr) else {
-                    return; // host vanished; client times out
-                };
+                // Occupancy was decided at send time, and a fault-free SYN
+                // to a present host may have no backstop: a host that
+                // vanished here would leak the connection.
+                let server_id = self.resolve_host(dst_sock.addr).expect(
+                    "HostSpawner contract: spawn must return an agent for every occupied address",
+                );
                 let mut decision = TcpDecision::Refuse;
                 self.with_agent(server_id, |a, ctx| {
                     decision = a.on_tcp_open(ctx, ConnToken(conn), dst_sock.port, client_sock);

@@ -7,7 +7,10 @@
 //!
 //! * **TCP protocols** (banner-based, Table 2): SYN → on accept, optionally
 //!   send the protocol's opening probe → collect response bytes for a grab
-//!   window → normalize and record;
+//!   window → normalize and record. The SYN is a stateless probe
+//!   ([`NetCtx::tcp_probe_tagged`]): a refused or unanswered first attempt
+//!   is empty space, as in ZMap, so the scanner keeps no state for it and
+//!   the fault-free fabric keeps none either;
 //! * **UDP protocols** (response-based, Table 3): send the probe datagram;
 //!   any response is normalized and recorded.
 //!
@@ -476,9 +479,10 @@ impl Scanner {
                 }
             } else {
                 // The sweep index rides on the connection as a tag; the grab
-                // record is created only if the host answers — probes into
-                // empty space leave no scanner-side state at all.
-                ctx.tcp_connect_tagged(dst, sweep_idx as u64);
+                // record is created only if the host answers. A probe into
+                // empty space or to a closed port leaves no scanner-side
+                // state, and (without faults) no fabric state or event.
+                ctx.tcp_probe_tagged(dst, sweep_idx as u64);
             }
         }
         ofh_obs::count_l("scan.probe.sent", protocol.name(), batch as u64);
@@ -520,8 +524,10 @@ impl Scanner {
     }
 
     /// A connect that was itself a retry failed (refused / timed out /
-    /// rate-limited). First-attempt failures never reach here: they carry
-    /// attempt 0 and stay stateless, exactly like ZMap.
+    /// rate-limited). First-attempt failures are no-ops here: they carry
+    /// attempt 0 and stay stateless, exactly like ZMap. That is what lets
+    /// `issue_batch` send them as probes the fabric may answer without a
+    /// callback; retries keep `tcp_connect_tagged` and always get one.
     fn retry_connect_failure(&mut self, ctx: &mut NetCtx<'_>, conn: ConnToken) {
         let Some(tag) = ctx.conn_tag(conn) else {
             return;
@@ -659,7 +665,8 @@ impl Agent for Scanner {
     }
 
     // First-attempt refused / timed-out probes carry no scanner-side state
-    // (the grab is only created on establishment); only connects that were
+    // (the grab is only created on establishment), and the fault-free fabric
+    // usually answers them without a callback; only connects that were
     // themselves retries are followed up.
 
     fn on_tcp_refused(&mut self, ctx: &mut NetCtx<'_>, conn: ConnToken) {
