@@ -34,12 +34,17 @@ cargo run --release -q --example obs_validate -- "$OBS_TMP/metrics.json" "$OBS_T
 echo "==> chaos smoke: hostile schedule, workers 1 vs 8, byte-for-byte"
 # Hostile runs are where unserved datagrams meet fault duplicates, so the
 # snapshots (event counts included) are compared as well as the reports.
+# Injected resets also end honeypot sessions early, so the store's event
+# rows and the trace are compared too.
 for W in 1 8; do
     ./target/release/openforhire study --preset quick --faults hostile --workers "$W" \
-        --metrics-out "$OBS_TMP/chaos_w$W.json" > "$OBS_TMP/chaos_w$W.txt"
+        --metrics-out "$OBS_TMP/chaos_w$W.json" --store-out "$OBS_TMP/chaos_w$W.store" \
+        --trace-out "$OBS_TMP/chaos_w$W.trace" > "$OBS_TMP/chaos_w$W.txt"
 done
 cmp "$OBS_TMP/chaos_w1.txt" "$OBS_TMP/chaos_w8.txt"
-echo "    reports identical under faults at workers 1 and 8"
+cmp "$OBS_TMP/chaos_w1.store" "$OBS_TMP/chaos_w8.store"
+cmp "$OBS_TMP/chaos_w1.trace" "$OBS_TMP/chaos_w8.trace"
+echo "    reports, stores and traces identical under faults at workers 1 and 8"
 ./target/release/openforhire obsdiff "$OBS_TMP/chaos_w1.json" "$OBS_TMP/chaos_w8.json"
 echo "    snapshots under faults: deterministic sections identical (exit 0)"
 

@@ -186,10 +186,6 @@ impl AttackerAgent {
         }
     }
 
-    pub fn task_count(&self) -> usize {
-        self.tasks.len()
-    }
-
     fn launch(&mut self, ctx: &mut NetCtx<'_>, idx: usize) {
         let task = self.tasks[idx].clone();
         let dst = task.dst;

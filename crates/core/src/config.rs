@@ -46,8 +46,6 @@ pub struct StudyConfig {
     /// schedule = pristine network).
     #[serde(default)]
     pub faults: FaultSchedule,
-    /// Run the Sonar and Shodan dataset sweeps (Table 4's extra columns).
-    pub run_dataset_providers: bool,
     /// Oversampling factor for the §5.3 infected set: infected counts are
     /// divided by `scan_scale / infected_oversample` instead of
     /// `scan_scale`. At heavy scan scales the paper-faithful proportion
@@ -98,7 +96,6 @@ impl StudyConfig {
             hp_scale: 256,
             month_days: 30,
             faults: FaultSchedule::none(),
-            run_dataset_providers: true,
             infected_oversample: 32,
             shards: 16,
             workers: 1,
@@ -118,7 +115,6 @@ impl StudyConfig {
             hp_scale: 32,
             month_days: 30,
             faults: FaultSchedule::none(),
-            run_dataset_providers: true,
             infected_oversample: 8,
             shards: 16,
             workers: 1,
@@ -138,7 +134,6 @@ impl StudyConfig {
             hp_scale: 8,
             month_days: 30,
             faults: FaultSchedule::none(),
-            run_dataset_providers: true,
             infected_oversample: 1,
             shards: 16,
             workers: 1,
@@ -161,7 +156,6 @@ impl StudyConfig {
             hp_scale: 8,
             month_days: 30,
             faults: FaultSchedule::none(),
-            run_dataset_providers: true,
             infected_oversample: 1,
             // 64 shards so the 2^32 run keeps speeding up past 16 cores.
             // Per-shard fixed costs are small only because every read-only

@@ -43,10 +43,10 @@ use ofh_devices::arena::HostArena;
 use ofh_devices::population::{DeviceRecord, Population, PopulationBuilder, PopulationSpec};
 use ofh_fingerprint::{engine, FingerprintProber, FingerprintReport, SignatureDb};
 use ofh_honeypots::{
-    AttackEvent, ConpotHoneypot, CowrieHoneypot, DionaeaHoneypot, HosTaGeHoneypot,
-    ThingPotHoneypot, UPotHoneypot, WildHoneypot, WildHoneypotAgent,
+    AttackEvent, ConpotHoneypot, CowrieHoneypot, DeployedHoneypot, DionaeaHoneypot,
+    HosTaGeHoneypot, ThingPotHoneypot, UPotHoneypot, WildHoneypot, WildHoneypotAgent,
 };
-use ofh_intel::{Country, GeoDb};
+use ofh_intel::GeoDb;
 use ofh_net::rng::rng_for;
 use ofh_net::sim::Counters;
 use ofh_net::{Agent, AgentId, HostSpawner, ShardSpec, SimNet, SimNetConfig, SimTime, Transport};
@@ -758,12 +758,14 @@ fn run_shard(inputs: &ShardInputs<'_>, spec: ShardSpec) -> ShardOutput {
     // receives exactly the traffic of this shard's actors, and the merge
     // concatenates the replica logs back into one deployment.
     let honeypots = inputs.honeypots;
-    let hostage_id = net.attach(honeypots.hostage, Box::new(HosTaGeHoneypot::new()));
-    let upot_id = net.attach(honeypots.upot, Box::new(UPotHoneypot::new()));
-    let conpot_id = net.attach(honeypots.conpot, Box::new(ConpotHoneypot::new()));
-    let thingpot_id = net.attach(honeypots.thingpot, Box::new(ThingPotHoneypot::new()));
-    let cowrie_id = net.attach(honeypots.cowrie, Box::new(CowrieHoneypot::new()));
-    let dionaea_id = net.attach(honeypots.dionaea, Box::new(DionaeaHoneypot::new()));
+    let deployed = [
+        deploy::<HosTaGeHoneypot>(&mut net, honeypots.hostage),
+        deploy::<UPotHoneypot>(&mut net, honeypots.upot),
+        deploy::<ConpotHoneypot>(&mut net, honeypots.conpot),
+        deploy::<ThingPotHoneypot>(&mut net, honeypots.thingpot),
+        deploy::<CowrieHoneypot>(&mut net, honeypots.cowrie),
+        deploy::<DionaeaHoneypot>(&mut net, honeypots.dionaea),
+    ];
 
     // Attackers the shard owns.
     for &i in &part.actors {
@@ -800,41 +802,35 @@ fn run_shard(inputs: &ShardInputs<'_>, spec: ShardSpec) -> ShardOutput {
         Ipv4Addr::from(scanner_base),
         Box::new(Scanner::new("ZMap Scan", zmap_cfgs)),
     );
-    let (sonar_id, shodan_id) = if cfg.run_dataset_providers {
-        let shard_cfgs = |mut cfgs: Vec<ScannerConfig>| {
-            for c in &mut cfgs {
-                c.shard = spec;
-                if let Some(ts) = &part.targets {
-                    c.targets = ts.clone();
-                }
+    let shard_cfgs = |mut cfgs: Vec<ScannerConfig>| {
+        for c in &mut cfgs {
+            c.shard = spec;
+            if let Some(ts) = &part.targets {
+                c.targets = ts.clone();
             }
-            cfgs
-        };
-        let sonar = Scanner::new(
-            "Project Sonar",
-            shard_cfgs(datasets::sonar_configs(
-                universe.cidr().first(),
-                universe.size(),
-                SimTime::ZERO,
-                spec.seed(cfg.seed, "sonar"),
-            )),
-        );
-        let shodan = Scanner::new(
-            "Shodan",
-            shard_cfgs(datasets::shodan_configs(
-                universe.cidr().first(),
-                universe.size(),
-                SimTime::ZERO,
-                spec.seed(cfg.seed, "shodan"),
-            )),
-        );
-        (
-            Some(net.attach(Ipv4Addr::from(scanner_base + 1), Box::new(sonar))),
-            Some(net.attach(Ipv4Addr::from(scanner_base + 2), Box::new(shodan))),
-        )
-    } else {
-        (None, None)
+        }
+        cfgs
     };
+    let sonar = Scanner::new(
+        "Project Sonar",
+        shard_cfgs(datasets::sonar_configs(
+            universe.cidr().first(),
+            universe.size(),
+            SimTime::ZERO,
+            spec.seed(cfg.seed, "sonar"),
+        )),
+    );
+    let shodan = Scanner::new(
+        "Shodan",
+        shard_cfgs(datasets::shodan_configs(
+            universe.cidr().first(),
+            universe.size(),
+            SimTime::ZERO,
+            spec.seed(cfg.seed, "shodan"),
+        )),
+    );
+    let sonar_id = net.attach(Ipv4Addr::from(scanner_base + 1), Box::new(sonar));
+    let shodan_id = net.attach(Ipv4Addr::from(scanner_base + 2), Box::new(shodan));
 
     // ---- Scan phase (March) --------------------------------------------
     profile.push_child(phase_sw.leaf("wire"));
@@ -893,44 +889,15 @@ fn run_shard(inputs: &ShardInputs<'_>, spec: ShardSpec) -> ShardOutput {
         resilience.absorb(&s.resilience);
         leaked += s.leaked_state();
     }
-    let sonar = sonar_id
-        .map(|id| extract_results(&mut net, id, &mut resilience, &mut leaked))
-        .unwrap_or_else(|| ScanResults::new("Project Sonar"));
-    let shodan = shodan_id
-        .map(|id| extract_results(&mut net, id, &mut resilience, &mut leaked))
-        .unwrap_or_else(|| ScanResults::new("Shodan"));
+    let sonar = extract_results(&mut net, sonar_id, &mut resilience, &mut leaked);
+    let shodan = extract_results(&mut net, shodan_id, &mut resilience, &mut leaked);
 
     let mut conns_shed: u64 = 0;
-    let mut logs = Vec::with_capacity(6);
-    {
-        let h = net.agent_downcast_mut::<HosTaGeHoneypot>(hostage_id).expect("hostage");
-        conns_shed += h.shed_connections();
-        logs.push(std::mem::take(&mut h.log).events);
-    }
-    {
-        let h = net.agent_downcast_mut::<UPotHoneypot>(upot_id).expect("upot");
-        conns_shed += h.shed_connections();
-        logs.push(std::mem::take(&mut h.log).events);
-    }
-    {
-        let h = net.agent_downcast_mut::<ConpotHoneypot>(conpot_id).expect("conpot");
-        conns_shed += h.shed_connections();
-        logs.push(std::mem::take(&mut h.log).events);
-    }
-    {
-        let h = net.agent_downcast_mut::<ThingPotHoneypot>(thingpot_id).expect("thingpot");
-        conns_shed += h.shed_connections();
-        logs.push(std::mem::take(&mut h.log).events);
-    }
-    {
-        let h = net.agent_downcast_mut::<CowrieHoneypot>(cowrie_id).expect("cowrie");
-        conns_shed += h.shed_connections();
-        logs.push(std::mem::take(&mut h.log).events);
-    }
-    {
-        let h = net.agent_downcast_mut::<DionaeaHoneypot>(dionaea_id).expect("dionaea");
-        conns_shed += h.shed_connections();
-        logs.push(std::mem::take(&mut h.log).events);
+    let mut logs = Vec::with_capacity(deployed.len());
+    for (id, drain) in deployed {
+        let (events, shed) = drain(&mut net, id);
+        logs.push(events);
+        conns_shed += shed;
     }
     // Exclude our own measurement infrastructure (the scanning host and
     // the fingerprint prober) from the attack dataset — the paper's
@@ -971,6 +938,20 @@ fn run_shard(inputs: &ShardInputs<'_>, spec: ShardSpec) -> ShardOutput {
     }
 }
 
+/// Reads a deployed honeypot's month back out of the network
+/// ([`DeployedHoneypot::drain`]).
+type Drain = fn(&mut SimNet, AgentId) -> (Vec<AttackEvent>, u64);
+
+/// Attach a deployed honeypot of type `H` at `addr`, paired with its drain.
+fn deploy<H: DeployedHoneypot>(net: &mut SimNet, addr: Ipv4Addr) -> (AgentId, Drain) {
+    fn drain<H: DeployedHoneypot>(net: &mut SimNet, id: AgentId) -> (Vec<AttackEvent>, u64) {
+        net.agent_downcast_mut::<H>(id)
+            .expect("deployed honeypot")
+            .drain()
+    }
+    (net.attach(addr, Box::new(H::default())), drain::<H>)
+}
+
 fn extract_results(
     net: &mut SimNet,
     id: AgentId,
@@ -991,11 +972,6 @@ pub fn population_for(cfg: &StudyConfig) -> Population {
         seed: cfg.seed,
     })
     .build()
-}
-
-/// Export used by report rendering.
-pub fn country_name(c: Country) -> &'static str {
-    c.name()
 }
 
 #[cfg(test)]

@@ -100,9 +100,11 @@ impl Agent for AmqpDevice {
                 ctx.tcp_send(conn, frame.encode());
             } else {
                 // Spec: a server that receives a bad header replies with the
-                // header it expects and closes.
+                // header it expects and closes. The closer gets no
+                // `on_tcp_closed`, so the entry goes here.
                 ctx.tcp_send(conn, PROTOCOL_HEADER.to_vec());
                 ctx.tcp_close(conn);
+                self.started.remove(&conn);
             }
             return;
         }
@@ -222,6 +224,46 @@ mod tests {
         let (p, _) = probe(AmqpDevice::new(None), true, false);
         assert!(p.start.is_none());
         assert!(p.closed);
+    }
+
+    #[test]
+    fn bad_headers_leave_no_connection_state() {
+        /// Opens `left` connections one after another, each with a bad header.
+        struct Junk {
+            dst: SockAddr,
+            left: u32,
+        }
+        impl Agent for Junk {
+            fn on_boot(&mut self, ctx: &mut NetCtx<'_>) {
+                ctx.tcp_connect(self.dst);
+            }
+            fn on_tcp_established(&mut self, ctx: &mut NetCtx<'_>, conn: ConnToken) {
+                ctx.tcp_send(conn, b"GET / HTTP/1.1\r\n".to_vec());
+            }
+            fn on_tcp_closed(&mut self, ctx: &mut NetCtx<'_>, _conn: ConnToken) {
+                self.left -= 1;
+                if self.left > 0 {
+                    ctx.tcp_connect(self.dst);
+                }
+            }
+        }
+        let mut net = SimNet::new(SimNetConfig::default());
+        let daddr = ip(16, 9, 0, 1);
+        let did = net.attach(daddr, Box::new(AmqpDevice::new(None)));
+        let jid = net.attach(
+            ip(16, 9, 0, 2),
+            Box::new(Junk {
+                dst: SockAddr::new(daddr, 5672),
+                left: 50,
+            }),
+        );
+        net.run_until(SimTime(600_000));
+        assert_eq!(net.agent_downcast::<Junk>(jid).unwrap().left, 0);
+        assert!(net
+            .agent_downcast::<AmqpDevice>(did)
+            .unwrap()
+            .started
+            .is_empty());
     }
 
     #[test]

@@ -167,18 +167,8 @@ impl Agent for MqttDevice {
     fn on_tcp_data(&mut self, ctx: &mut NetCtx<'_>, conn: ConnToken, data: &Payload) {
         let buf = self.buffers.entry(conn).or_default();
         buf.extend_from_slice(data);
-        loop {
-            let snapshot = self.buffers.get(&conn).cloned().unwrap_or_default();
-            match Packet::decode(&snapshot) {
-                Ok((packet, used)) => {
-                    self.buffers.get_mut(&conn).unwrap().drain(..used);
-                    self.handle(ctx, conn, packet);
-                }
-                Err(_) => break, // wait for more bytes (or garbage: stall)
-            }
-            if self.buffers.get(&conn).map_or(true, Vec::is_empty) {
-                break;
-            }
+        for packet in Packet::drain(buf) {
+            self.handle(ctx, conn, packet);
         }
     }
 
@@ -223,8 +213,7 @@ mod tests {
         }
         fn on_tcp_data(&mut self, ctx: &mut NetCtx<'_>, conn: ConnToken, data: &Payload) {
             self.buf.extend_from_slice(data);
-            while let Ok((p, used)) = Packet::decode(&self.buf) {
-                self.buf.drain(..used);
+            for p in Packet::drain(&mut self.buf) {
                 if matches!(
                     p,
                     Packet::ConnAck {
@@ -257,9 +246,6 @@ mod tests {
                     }
                 }
                 self.got.push(p);
-                if self.buf.is_empty() {
-                    break;
-                }
             }
         }
     }

@@ -459,11 +459,6 @@ impl Population {
             net.attach(r.addr, r.build_agent());
         }
     }
-
-    /// Ground-truth count of misconfigured devices (for test assertions).
-    pub fn misconfigured_count(&self) -> usize {
-        self.records.iter().filter(|r| r.misconfig.is_some()).count()
-    }
 }
 
 #[cfg(test)]

@@ -7,27 +7,24 @@
 //! function codes), and the ICSA-16-299-01 DoS performed by flooding S7
 //! PDU-type-1 Job requests.
 
-use std::collections::HashMap;
-
 use ofh_net::Payload;
 use ofh_net::{Agent, ConnToken, NetCtx, SockAddr, TcpDecision};
 use ofh_wire::modbus::{self, Frame as ModbusFrame};
 use ofh_wire::s7::{pdu_type, S7Message};
-use ofh_wire::telnet::visible_text;
-use ofh_wire::{http, ports, Protocol};
+use ofh_wire::{ports, Protocol};
 
-use crate::deployed::common::{drain_lines, ConnGate, LoginMachine, LoginStep};
-use crate::events::{EventKind, EventLog};
+use crate::deployed::common::{LoginMachine, LoginState, LoginStep, Sessions};
+use crate::deployed::DeployedHoneypot;
+use crate::events::{AttackEvent, EventKind, EventLog};
 
 /// The Conpot honeypot agent.
 pub struct ConpotHoneypot {
     pub log: EventLog,
     telnet: LoginMachine,
     ssh: LoginMachine,
-    conns: HashMap<ConnToken, (Protocol, SockAddr, Vec<u8>)>,
+    sessions: Sessions<LoginState>,
     /// Simulated holding registers (poisoning targets).
     pub registers: Vec<u16>,
-    gate: ConnGate,
 }
 
 impl Default for ConpotHoneypot {
@@ -42,15 +39,15 @@ impl ConpotHoneypot {
             log: EventLog::new("Conpot"),
             telnet: LoginMachine::new(2),
             ssh: LoginMachine::new(2),
-            conns: HashMap::new(),
+            sessions: Sessions::default(),
             registers: vec![0x0100; 16],
-            gate: ConnGate::default(),
         }
     }
+}
 
-    /// Connections refused because the gate was full (flood shedding).
-    pub fn shed_connections(&self) -> u64 {
-        self.gate.shed()
+impl DeployedHoneypot for ConpotHoneypot {
+    fn drain(&mut self) -> (Vec<AttackEvent>, u64) {
+        (std::mem::take(&mut self.log.events), self.sessions.shed())
     }
 }
 
@@ -70,19 +67,18 @@ impl Agent for ConpotHoneypot {
             ports::HTTP => Protocol::Http,
             _ => return TcpDecision::Refuse,
         };
-        if !self.gate.try_admit() {
+        if !self
+            .sessions
+            .admit(&mut self.log, ctx.now(), conn, protocol, peer)
+        {
             return TcpDecision::Refuse;
         }
-        self.conns.insert(conn, (protocol, peer, Vec::new()));
-        self.log.log(ctx.now(), protocol, peer.addr, peer.port, EventKind::Connection);
         match protocol {
+            // Conpot's characteristic banner (its Table 6 signature).
             Protocol::Telnet => {
-                self.telnet.open(conn);
-                // Conpot's characteristic banner (its Table 6 signature).
                 TcpDecision::accept_with(b"Connected to [00:13:EA:00:00:00]\r\nlogin: ".to_vec())
             }
             Protocol::Ssh => {
-                self.ssh.open(conn);
                 TcpDecision::accept_with(b"SSH-2.0-OpenSSH_6.7p1 SiemensPLC\r\n".to_vec())
             }
             _ => TcpDecision::accept(),
@@ -90,45 +86,39 @@ impl Agent for ConpotHoneypot {
     }
 
     fn on_tcp_data(&mut self, ctx: &mut NetCtx<'_>, conn: ConnToken, data: &Payload) {
-        let Some((protocol, peer, _)) = self.conns.get(&conn).map(|(p, s, _)| (*p, *s, ())) else {
+        let Some(s) = self.sessions.get_mut(conn) else {
             return;
         };
         let now = ctx.now();
-        match protocol {
+        match s.protocol {
             Protocol::S7 => {
                 let Ok(msg) = S7Message::decode(data) else {
-                    self.log.log(
-                        now,
-                        protocol,
-                        peer.addr,
-                        peer.port,
-                        EventKind::Datagram { len: data.len() },
-                    );
+                    s.log(&mut self.log, now, EventKind::Datagram { len: data.len() });
                     return;
                 };
                 if msg.pdu_type == pdu_type::JOB {
                     // PDU-type-1 Job: the ICSA-16-299-01 flood element.
-                    self.log.log(
+                    s.log(
+                        &mut self.log,
                         now,
-                        protocol,
-                        peer.addr,
-                        peer.port,
-                        EventKind::ExploitSignature { name: "S7 PDU-type-1 job".into() },
+                        EventKind::ExploitSignature {
+                            name: "S7 PDU-type-1 job".into(),
+                        },
                     );
                     match msg.function() {
-                        Some(ofh_wire::s7::function::WRITE_VAR) => self.log.log(
+                        Some(ofh_wire::s7::function::WRITE_VAR) => s.log(
+                            &mut self.log,
                             now,
-                            protocol,
-                            peer.addr,
-                            peer.port,
-                            EventKind::DataWrite { target: "s7-var".into() },
+                            EventKind::DataWrite {
+                                target: "s7-var".into(),
+                            },
                         ),
-                        Some(ofh_wire::s7::function::READ_VAR) => self.log.log(
+                        Some(ofh_wire::s7::function::READ_VAR) => s.log(
+                            &mut self.log,
                             now,
-                            protocol,
-                            peer.addr,
-                            peer.port,
-                            EventKind::DataRead { target: "s7-var".into() },
+                            EventKind::DataRead {
+                                target: "s7-var".into(),
+                            },
                         ),
                         _ => {}
                     }
@@ -150,12 +140,12 @@ impl Agent for ConpotHoneypot {
                 use ofh_wire::modbus::function::*;
                 match frame.function {
                     READ_HOLDING_REGISTERS => {
-                        self.log.log(
+                        s.log(
+                            &mut self.log,
                             now,
-                            protocol,
-                            peer.addr,
-                            peer.port,
-                            EventKind::DataRead { target: "holding-register".into() },
+                            EventKind::DataRead {
+                                target: "holding-register".into(),
+                            },
                         );
                         let mut data = vec![(self.registers.len() * 2) as u8];
                         for r in &self.registers {
@@ -173,12 +163,12 @@ impl Agent for ConpotHoneypot {
                         );
                     }
                     WRITE_SINGLE_REGISTER => {
-                        self.log.log(
+                        s.log(
+                            &mut self.log,
                             now,
-                            protocol,
-                            peer.addr,
-                            peer.port,
-                            EventKind::DataWrite { target: "holding-register".into() },
+                            EventKind::DataWrite {
+                                target: "holding-register".into(),
+                            },
                         );
                         if frame.data.len() >= 4 {
                             let addr = u16::from_be_bytes([frame.data[0], frame.data[1]]) as usize;
@@ -190,12 +180,12 @@ impl Agent for ConpotHoneypot {
                         ctx.tcp_send(conn, frame.encode()); // echo = success
                     }
                     READ_DEVICE_IDENTIFICATION | REPORT_SERVER_ID => {
-                        self.log.log(
+                        s.log(
+                            &mut self.log,
                             now,
-                            protocol,
-                            peer.addr,
-                            peer.port,
-                            EventKind::DataRead { target: "device-identification".into() },
+                            EventKind::DataRead {
+                                target: "device-identification".into(),
+                            },
                         );
                         ctx.tcp_send(
                             conn,
@@ -210,12 +200,12 @@ impl Agent for ConpotHoneypot {
                     }
                     _ => {
                         // Invalid function codes — ~90% of observed traffic.
-                        self.log.log(
+                        s.log(
+                            &mut self.log,
                             now,
-                            protocol,
-                            peer.addr,
-                            peer.port,
-                            EventKind::ExploitSignature { name: "Modbus invalid function".into() },
+                            EventKind::ExploitSignature {
+                                name: "Modbus invalid function".into(),
+                            },
                         );
                         ctx.tcp_send(
                             conn,
@@ -226,90 +216,52 @@ impl Agent for ConpotHoneypot {
                 }
             }
             Protocol::Telnet | Protocol::Ssh => {
-                let cleaned = if protocol == Protocol::Telnet {
-                    visible_text(data)
-                } else {
-                    data.to_vec()
-                };
-                let buf = &mut self.conns.get_mut(&conn).unwrap().2;
-                buf.extend_from_slice(&cleaned);
-                for line in drain_lines(buf) {
-                    if line.is_empty() {
-                        continue;
-                    }
+                let ssh = s.protocol == Protocol::Ssh;
+                let machine = if ssh { &self.ssh } else { &self.telnet };
+                for line in s.lines(data) {
                     if line.starts_with("SSH-") {
                         ctx.tcp_send(conn, "KEXINIT\n"); // see cowrie.rs
                         continue;
                     }
-                    let machine = if protocol == Protocol::Ssh { &mut self.ssh } else { &mut self.telnet };
-                    if protocol == Protocol::Ssh {
-                        if let Some(rest) = line.strip_prefix("AUTH ") {
-                            let mut it = rest.splitn(2, ' ');
-                            let user = it.next().unwrap_or("").to_string();
-                            let pass = it.next().unwrap_or("").to_string();
-                            machine.feed(conn, &user);
-                            if let LoginStep::Attempt { success, .. } = machine.feed(conn, &pass) {
-                                self.log.log(
-                                    now,
-                                    protocol,
-                                    peer.addr,
-                                    peer.port,
-                                    EventKind::LoginAttempt { username: user, password: pass, success },
-                                );
-                                ctx.tcp_send(conn, if success { "OK\n" } else { "DENIED\n" });
-                            }
-                            continue;
-                        }
+                    if ssh && s.ssh_auth(ctx, conn, &mut self.log, machine, &line) {
+                        continue;
                     }
-                    match machine.feed(conn, &line) {
+                    match machine.feed(&mut s.state, &line) {
                         LoginStep::Prompt(p) => ctx.tcp_send(conn, p),
-                        LoginStep::Attempt { username, password, success } => {
-                            self.log.log(
-                                now,
-                                protocol,
-                                peer.addr,
-                                peer.port,
-                                EventKind::LoginAttempt { username, password, success },
-                            );
+                        LoginStep::Attempt {
+                            username,
+                            password,
+                            success,
+                        } => {
+                            let attempt = EventKind::LoginAttempt {
+                                username,
+                                password,
+                                success,
+                            };
+                            s.log(&mut self.log, now, attempt);
                             ctx.tcp_send(conn, if success { "S7> " } else { "login: " });
                         }
                         LoginStep::Command(cmd) => {
-                            self.log.log(now, protocol, peer.addr, peer.port, EventKind::Command { line: cmd });
+                            s.log(&mut self.log, now, EventKind::Command { line: cmd });
                             ctx.tcp_send(conn, "S7> ");
                         }
                     }
                 }
             }
-            Protocol::Http => {
-                if let Ok(req) = http::Request::parse(data) {
-                    self.log.log(
-                        now,
-                        protocol,
-                        peer.addr,
-                        peer.port,
-                        EventKind::HttpRequest { path: req.path.clone() },
-                    );
-                    ctx.tcp_send(
-                        conn,
-                        http::Response::ok(b"<html><title>SIMATIC S7-200</title></html>".to_vec())
-                            .with_server("Siemens Simatic S7")
-                            .render(),
-                    );
-                }
-            }
+            Protocol::Http => s.http_page(
+                ctx,
+                conn,
+                &mut self.log,
+                data,
+                b"<html><title>SIMATIC S7-200</title></html>",
+                "Siemens Simatic S7",
+            ),
             _ => {}
         }
     }
 
     fn on_tcp_closed(&mut self, _ctx: &mut NetCtx<'_>, conn: ConnToken) {
-        if let Some((protocol, _, _)) = self.conns.remove(&conn) {
-            self.gate.release();
-            match protocol {
-                Protocol::Telnet => self.telnet.close(conn),
-                Protocol::Ssh => self.ssh.close(conn),
-                _ => {}
-            }
-        }
+        self.sessions.close(conn);
     }
 }
 
@@ -351,11 +303,8 @@ mod tests {
         let h = net.agent_downcast_mut::<ConpotHoneypot>(hid).unwrap();
         let out = ConpotHoneypot {
             log: std::mem::take(&mut h.log),
-            telnet: LoginMachine::new(2),
-            ssh: LoginMachine::new(2),
-            conns: HashMap::new(),
             registers: h.registers.clone(),
-            gate: ConnGate::default(),
+            ..ConpotHoneypot::new()
         };
         (out, replies)
     }

@@ -8,23 +8,20 @@
 
 use ofh_net::Payload;
 use ofh_net::{Agent, ConnToken, NetCtx, SockAddr, TcpDecision};
-use ofh_wire::telnet::visible_text;
 use ofh_wire::{ports, Protocol};
-use std::collections::HashMap;
 
 use crate::deployed::common::{
-    drain_lines, extract_url, looks_like_binary, ConnGate, LoginMachine, LoginStep,
+    extract_url, looks_like_binary, LoginMachine, LoginState, LoginStep, Sessions,
 };
-use crate::events::{EventKind, EventLog};
+use crate::deployed::DeployedHoneypot;
+use crate::events::{AttackEvent, EventKind, EventLog};
 
 /// The Cowrie honeypot agent.
 pub struct CowrieHoneypot {
     pub log: EventLog,
     ssh: LoginMachine,
     telnet: LoginMachine,
-    /// Per-connection protocol (fixed at accept) and line buffer.
-    conns: HashMap<ConnToken, (Protocol, SockAddr, Vec<u8>)>,
-    gate: ConnGate,
+    sessions: Sessions<LoginState>,
 }
 
 impl Default for CowrieHoneypot {
@@ -45,21 +42,14 @@ impl CowrieHoneypot {
             log: EventLog::new("Cowrie"),
             ssh,
             telnet,
-            conns: HashMap::new(),
-            gate: ConnGate::default(),
+            sessions: Sessions::default(),
         }
     }
+}
 
-    /// Connections refused because the gate was full (flood shedding).
-    pub fn shed_connections(&self) -> u64 {
-        self.gate.shed()
-    }
-
-    fn machine(&mut self, protocol: Protocol) -> &mut LoginMachine {
-        match protocol {
-            Protocol::Ssh => &mut self.ssh,
-            _ => &mut self.telnet,
-        }
+impl DeployedHoneypot for CowrieHoneypot {
+    fn drain(&mut self) -> (Vec<AttackEvent>, u64) {
+        (std::mem::take(&mut self.log.events), self.sessions.shed())
     }
 }
 
@@ -76,12 +66,12 @@ impl Agent for CowrieHoneypot {
             ports::TELNET | ports::TELNET_ALT => Protocol::Telnet,
             _ => return TcpDecision::Refuse,
         };
-        if !self.gate.try_admit() {
+        if !self
+            .sessions
+            .admit(&mut self.log, ctx.now(), conn, protocol, peer)
+        {
             return TcpDecision::Refuse;
         }
-        self.conns.insert(conn, (protocol, peer, Vec::new()));
-        self.machine(protocol).open(conn);
-        self.log.log(ctx.now(), protocol, peer.addr, peer.port, EventKind::Connection);
         let banner: Vec<u8> = match protocol {
             // Cowrie's IoT-flavoured SSH identification.
             Protocol::Ssh => b"SSH-2.0-dropbear_2014.66\r\n".to_vec(),
@@ -93,57 +83,24 @@ impl Agent for CowrieHoneypot {
     }
 
     fn on_tcp_data(&mut self, ctx: &mut NetCtx<'_>, conn: ConnToken, data: &Payload) {
-        let Some((protocol, peer, _)) = self.conns.get(&conn).map(|(p, s, _)| (*p, *s, ())) else {
+        let Some(s) = self.sessions.get_mut(conn) else {
             return;
         };
+        let now = ctx.now();
         // Binary payloads (echo-loader style dropper bodies).
         if looks_like_binary(data) {
-            self.log.log(
-                ctx.now(),
-                protocol,
-                peer.addr,
-                peer.port,
-                EventKind::PayloadDrop {
-                    payload: data.to_vec(),
-                    url: None,
-                },
-            );
+            let drop = EventKind::PayloadDrop {
+                payload: data.to_vec(),
+                url: None,
+            };
+            s.log(&mut self.log, now, drop);
             return;
         }
-        let cleaned = if protocol == Protocol::Telnet {
-            visible_text(data)
-        } else {
-            data.to_vec()
-        };
-        let buf = &mut self.conns.get_mut(&conn).unwrap().2;
-        buf.extend_from_slice(&cleaned);
-        for line in drain_lines(buf) {
-            if line.is_empty() {
-                continue;
-            }
-            // Simplified-SSH auth framing: "AUTH <user> <pass>".
-            if protocol == Protocol::Ssh {
-                if let Some(rest) = line.strip_prefix("AUTH ") {
-                    let mut it = rest.splitn(2, ' ');
-                    let user = it.next().unwrap_or("").to_string();
-                    let pass = it.next().unwrap_or("").to_string();
-                    let m = self.machine(protocol);
-                    m.feed(conn, &user); // advances to password state
-                    let step = m.feed(conn, &pass);
-                    if let LoginStep::Attempt { success, .. } = step {
-                        self.log.log(
-                            ctx.now(),
-                            protocol,
-                            peer.addr,
-                            peer.port,
-                            EventKind::LoginAttempt {
-                                username: user,
-                                password: pass,
-                                success,
-                            },
-                        );
-                        ctx.tcp_send(conn, if success { "OK\n" } else { "DENIED\n" });
-                    }
+        let ssh = s.protocol == Protocol::Ssh;
+        let machine = if ssh { &self.ssh } else { &self.telnet };
+        for line in s.lines(data) {
+            if ssh {
+                if s.ssh_auth(ctx, conn, &mut self.log, machine, &line) {
                     continue;
                 }
                 if line.starts_with("SSH-") {
@@ -153,24 +110,19 @@ impl Agent for CowrieHoneypot {
                     continue;
                 }
             }
-            match self.machine(protocol).feed(conn, &line) {
+            match machine.feed(&mut s.state, &line) {
                 LoginStep::Prompt(p) => ctx.tcp_send(conn, p),
                 LoginStep::Attempt {
                     username,
                     password,
                     success,
                 } => {
-                    self.log.log(
-                        ctx.now(),
-                        protocol,
-                        peer.addr,
-                        peer.port,
-                        EventKind::LoginAttempt {
-                            username,
-                            password,
-                            success,
-                        },
-                    );
+                    let attempt = EventKind::LoginAttempt {
+                        username,
+                        password,
+                        success,
+                    };
+                    s.log(&mut self.log, now, attempt);
                     ctx.tcp_send(
                         conn,
                         if success {
@@ -182,26 +134,15 @@ impl Agent for CowrieHoneypot {
                 }
                 LoginStep::Command(cmd) => {
                     let url = extract_url(&cmd);
-                    self.log.log(
-                        ctx.now(),
-                        protocol,
-                        peer.addr,
-                        peer.port,
-                        EventKind::Command { line: cmd.clone() },
-                    );
+                    s.log(&mut self.log, now, EventKind::Command { line: cmd });
                     if let Some(url) = url {
                         // The dropper fetch: the binary arrives as a later
                         // raw write; the URL itself is logged now.
-                        self.log.log(
-                            ctx.now(),
-                            protocol,
-                            peer.addr,
-                            peer.port,
-                            EventKind::PayloadDrop {
-                                payload: Vec::new(),
-                                url: Some(url),
-                            },
-                        );
+                        let drop = EventKind::PayloadDrop {
+                            payload: Vec::new(),
+                            url: Some(url),
+                        };
+                        s.log(&mut self.log, now, drop);
                     }
                     ctx.tcp_send(conn, "# ");
                 }
@@ -210,10 +151,7 @@ impl Agent for CowrieHoneypot {
     }
 
     fn on_tcp_closed(&mut self, _ctx: &mut NetCtx<'_>, conn: ConnToken) {
-        if let Some((protocol, _, _)) = self.conns.remove(&conn) {
-            self.gate.release();
-            self.machine(protocol).close(conn);
-        }
+        self.sessions.close(conn);
     }
 }
 

@@ -6,32 +6,35 @@
 //! samples of §5.1.5, and its SMB emulation caught WannaCry droppers riding
 //! the Eternal* exploits.
 
-use std::collections::HashMap;
-
 use ofh_net::Payload;
 use ofh_net::{Agent, ConnToken, NetCtx, SockAddr, TcpDecision};
 use ofh_wire::ftp::{Command, Reply};
-use ofh_wire::mqtt::{ConnectReturnCode, Packet};
-use ofh_wire::smb::{command as smb_cmd, SmbMessage};
-use ofh_wire::{http, ports, Protocol};
+use ofh_wire::mqtt::Packet;
+use ofh_wire::{ports, Protocol};
 
-use crate::deployed::common::{drain_lines, looks_like_binary, ConnGate};
-use crate::events::{EventKind, EventLog};
+use crate::deployed::common::{looks_like_binary, Sessions};
+use crate::deployed::DeployedHoneypot;
+use crate::events::{AttackEvent, EventKind, EventLog};
 
-#[derive(Debug, Clone, PartialEq)]
+/// Per-connection FTP dialogue (unused on Dionaea's other services).
+#[derive(Debug, Default)]
 enum FtpState {
+    #[default]
     NeedUser,
-    NeedPass { user: String },
+    NeedPass {
+        user: String,
+    },
     LoggedIn,
-    Storing { filename: String, data: Vec<u8> },
+    /// After `STOR`: the next binary segment is the uploaded file.
+    Storing {
+        filename: String,
+    },
 }
 
 /// The Dionaea honeypot agent.
 pub struct DionaeaHoneypot {
     pub log: EventLog,
-    conns: HashMap<ConnToken, (Protocol, SockAddr, Vec<u8>)>,
-    ftp: HashMap<ConnToken, FtpState>,
-    gate: ConnGate,
+    sessions: Sessions<FtpState>,
 }
 
 impl Default for DionaeaHoneypot {
@@ -44,15 +47,14 @@ impl DionaeaHoneypot {
     pub fn new() -> Self {
         DionaeaHoneypot {
             log: EventLog::new("Dionaea"),
-            conns: HashMap::new(),
-            ftp: HashMap::new(),
-            gate: ConnGate::default(),
+            sessions: Sessions::default(),
         }
     }
+}
 
-    /// Connections refused because the gate was full (flood shedding).
-    pub fn shed_connections(&self) -> u64 {
-        self.gate.shed()
+impl DeployedHoneypot for DionaeaHoneypot {
+    fn drain(&mut self) -> (Vec<AttackEvent>, u64) {
+        (std::mem::take(&mut self.log.events), self.sessions.shed())
     }
 }
 
@@ -71,46 +73,37 @@ impl Agent for DionaeaHoneypot {
             ports::SMB => Protocol::Smb,
             _ => return TcpDecision::Refuse,
         };
-        if !self.gate.try_admit() {
+        if !self
+            .sessions
+            .admit(&mut self.log, ctx.now(), conn, protocol, peer)
+        {
             return TcpDecision::Refuse;
         }
-        self.conns.insert(conn, (protocol, peer, Vec::new()));
-        self.log.log(ctx.now(), protocol, peer.addr, peer.port, EventKind::Connection);
         match protocol {
-            Protocol::Ftp => {
-                self.ftp.insert(conn, FtpState::NeedUser);
-                TcpDecision::accept_with(
-                    Reply::new(Reply::SERVICE_READY, "Arduino FTP service ready").render(),
-                )
-            }
+            Protocol::Ftp => TcpDecision::accept_with(
+                Reply::new(Reply::SERVICE_READY, "Arduino FTP service ready").render(),
+            ),
             _ => TcpDecision::accept(),
         }
     }
 
     fn on_tcp_data(&mut self, ctx: &mut NetCtx<'_>, conn: ConnToken, data: &Payload) {
-        let Some((protocol, peer, _)) = self.conns.get(&conn).map(|(p, s, _)| (*p, *s, ())) else {
+        let Some(s) = self.sessions.get_mut(conn) else {
             return;
         };
         let now = ctx.now();
-        match protocol {
+        match s.protocol {
             Protocol::Ftp => {
-                // STOR data phase: raw bytes are the uploaded file.
-                if let Some(FtpState::Storing { filename, data: acc }) = self.ftp.get_mut(&conn) {
-                    if looks_like_binary(data) || !acc.is_empty() {
-                        acc.extend_from_slice(data);
-                        let payload = acc.clone();
-                        let filename = filename.clone();
-                        self.log.log(
-                            now,
-                            protocol,
-                            peer.addr,
-                            peer.port,
-                            EventKind::PayloadDrop {
-                                payload,
-                                url: Some(format!("ftp://upload/{filename}")),
-                            },
-                        );
-                        self.ftp.insert(conn, FtpState::LoggedIn);
+                // STOR data phase: a binary segment is the uploaded file.
+                if let FtpState::Storing { filename } = &s.state {
+                    if looks_like_binary(data) {
+                        let url = Some(format!("ftp://upload/{filename}"));
+                        s.state = FtpState::LoggedIn;
+                        let drop = EventKind::PayloadDrop {
+                            payload: data.to_vec(),
+                            url,
+                        };
+                        s.log(&mut self.log, now, drop);
                         ctx.tcp_send(
                             conn,
                             Reply::new(Reply::TRANSFER_COMPLETE, "Transfer complete").render(),
@@ -118,50 +111,33 @@ impl Agent for DionaeaHoneypot {
                         return;
                     }
                 }
-                let buf = &mut self.conns.get_mut(&conn).unwrap().2;
-                buf.extend_from_slice(data);
-                for line in drain_lines(buf) {
+                for line in s.lines(data) {
                     let Ok(cmd) = Command::parse(&line) else { continue };
-                    let state = self.ftp.get(&conn).cloned().unwrap_or(FtpState::NeedUser);
-                    match (cmd.verb.as_str(), state) {
+                    let arg = cmd.arg.unwrap_or_default();
+                    match (cmd.verb.as_str(), &mut s.state) {
                         ("USER", _) => {
-                            self.ftp.insert(
-                                conn,
-                                FtpState::NeedPass { user: cmd.arg.clone().unwrap_or_default() },
-                            );
+                            s.state = FtpState::NeedPass { user: arg };
                             ctx.tcp_send(
                                 conn,
                                 Reply::new(Reply::NEED_PASSWORD, "Please specify the password").render(),
                             );
                         }
                         ("PASS", FtpState::NeedPass { user }) => {
-                            let pass = cmd.arg.clone().unwrap_or_default();
                             // Dionaea accepts logins to observe what follows.
-                            self.log.log(
-                                now,
-                                protocol,
-                                peer.addr,
-                                peer.port,
-                                EventKind::LoginAttempt {
-                                    username: user,
-                                    password: pass,
-                                    success: true,
-                                },
-                            );
-                            self.ftp.insert(conn, FtpState::LoggedIn);
+                            let attempt = EventKind::LoginAttempt {
+                                username: std::mem::take(user),
+                                password: arg,
+                                success: true,
+                            };
+                            s.state = FtpState::LoggedIn;
+                            s.log(&mut self.log, now, attempt);
                             ctx.tcp_send(
                                 conn,
                                 Reply::new(Reply::LOGGED_IN, "Login successful").render(),
                             );
                         }
                         ("STOR", FtpState::LoggedIn) => {
-                            self.ftp.insert(
-                                conn,
-                                FtpState::Storing {
-                                    filename: cmd.arg.clone().unwrap_or_default(),
-                                    data: Vec::new(),
-                                },
-                            );
+                            s.state = FtpState::Storing { filename: arg };
                             ctx.tcp_send(
                                 conn,
                                 Reply::new(Reply::FILE_OK, "Ok to send data").render(),
@@ -170,6 +146,10 @@ impl Agent for DionaeaHoneypot {
                         ("QUIT", _) => {
                             ctx.tcp_send(conn, Reply::new(221, "Goodbye").render());
                             ctx.tcp_close(conn);
+                            // The closer gets no `on_tcp_closed`: end the
+                            // session now. Lines after QUIT go unanswered.
+                            self.sessions.close(conn);
+                            return;
                         }
                         _ => {
                             ctx.tcp_send(conn, Reply::new(502, "Command not implemented").render());
@@ -177,111 +157,27 @@ impl Agent for DionaeaHoneypot {
                     }
                 }
             }
-            Protocol::Http => {
-                if let Ok(req) = http::Request::parse(data) {
-                    self.log.log(
-                        now,
-                        protocol,
-                        peer.addr,
-                        peer.port,
-                        EventKind::HttpRequest { path: req.path.clone() },
-                    );
-                    ctx.tcp_send(
-                        conn,
-                        http::Response::ok(b"<html>Arduino device frontend</html>".to_vec())
-                            .with_server("Dionaea-emulated/1.0")
-                            .render(),
-                    );
-                }
-            }
+            Protocol::Http => s.http_page(
+                ctx,
+                conn,
+                &mut self.log,
+                data,
+                b"<html>Arduino device frontend</html>",
+                "Dionaea-emulated/1.0",
+            ),
             Protocol::Mqtt => {
-                let buf = &mut self.conns.get_mut(&conn).unwrap().2;
-                buf.extend_from_slice(data);
-                loop {
-                    let snapshot =
-                        self.conns.get(&conn).map(|(_, _, b)| b.clone()).unwrap_or_default();
-                    let Ok((packet, used)) = Packet::decode(&snapshot) else { break };
-                    self.conns.get_mut(&conn).unwrap().2.drain(..used);
-                    match packet {
-                        Packet::Connect { .. } => ctx.tcp_send(
-                            conn,
-                            Packet::ConnAck {
-                                session_present: false,
-                                return_code: ConnectReturnCode::Accepted,
-                            }
-                            .encode(),
-                        ),
-                        Packet::Publish { topic, .. } => self.log.log(
-                            now,
-                            protocol,
-                            peer.addr,
-                            peer.port,
-                            EventKind::DataWrite { target: topic },
-                        ),
-                        Packet::Subscribe { packet_id, topics } => {
-                            for (t, _) in &topics {
-                                self.log.log(
-                                    now,
-                                    protocol,
-                                    peer.addr,
-                                    peer.port,
-                                    EventKind::DataRead { target: t.clone() },
-                                );
-                            }
-                            ctx.tcp_send(
-                                conn,
-                                Packet::SubAck {
-                                    packet_id,
-                                    return_codes: vec![0; topics.len().max(1)],
-                                }
-                                .encode(),
-                            );
-                        }
-                        _ => {}
-                    }
-                    if self.conns.get(&conn).map_or(true, |(_, _, b)| b.is_empty()) {
-                        break;
-                    }
+                s.buf.extend_from_slice(data);
+                for packet in Packet::drain(&mut s.buf) {
+                    s.mqtt_broker(ctx, conn, &mut self.log, packet);
                 }
             }
-            Protocol::Smb => {
-                if let Ok(msg) = SmbMessage::decode(data) {
-                    let kind = if msg.command == smb_cmd::TRANS2 {
-                        EventKind::ExploitSignature { name: "SMB Trans2 anomaly".into() }
-                    } else {
-                        EventKind::Datagram { len: data.len() }
-                    };
-                    self.log.log(now, protocol, peer.addr, peer.port, kind);
-                    if msg.command == smb_cmd::NEGOTIATE {
-                        let resp = SmbMessage {
-                            command: smb_cmd::NEGOTIATE,
-                            status: 0,
-                            flags2: msg.flags2,
-                            mid: msg.mid,
-                            data: vec![2, 0],
-                        };
-                        ctx.tcp_send(conn, resp.encode());
-                    }
-                    if looks_like_binary(&msg.data) {
-                        self.log.log(
-                            now,
-                            protocol,
-                            peer.addr,
-                            peer.port,
-                            EventKind::PayloadDrop { payload: msg.data, url: None },
-                        );
-                    }
-                }
-            }
+            Protocol::Smb => s.smb_lure(ctx, conn, &mut self.log, data),
             _ => {}
         }
     }
 
     fn on_tcp_closed(&mut self, _ctx: &mut NetCtx<'_>, conn: ConnToken) {
-        if self.conns.remove(&conn).is_some() {
-            self.gate.release();
-        }
-        self.ftp.remove(&conn);
+        self.sessions.close(conn);
     }
 }
 
@@ -289,6 +185,7 @@ impl Agent for DionaeaHoneypot {
 mod tests {
     use super::*;
     use ofh_net::{ip, SimNet, SimNetConfig, SimTime};
+    use ofh_wire::smb::{command as smb_cmd, SmbMessage};
 
     struct FtpBot {
         dst: SockAddr,
@@ -360,6 +257,61 @@ mod tests {
             reg.identify(dropped).unwrap().family,
             ofh_intel::MalwareFamily::Mozi
         );
+    }
+
+    #[test]
+    fn quit_ends_the_session() {
+        /// Logs in over FTP and quits, `left` times in a row; the next
+        /// session starts when the previous one is closed or refused.
+        struct Quitter {
+            dst: SockAddr,
+            left: u32,
+        }
+        impl Quitter {
+            fn next(&mut self, ctx: &mut NetCtx<'_>) {
+                self.left -= 1;
+                if self.left > 0 {
+                    ctx.tcp_connect(self.dst);
+                }
+            }
+        }
+        impl Agent for Quitter {
+            fn on_boot(&mut self, ctx: &mut NetCtx<'_>) {
+                ctx.tcp_connect(self.dst);
+            }
+            fn on_tcp_data(&mut self, ctx: &mut NetCtx<'_>, conn: ConnToken, data: &Payload) {
+                if data.starts_with(b"220 ") {
+                    ctx.tcp_send(conn, b"USER a\r\nPASS b\r\nQUIT\r\n".to_vec());
+                }
+            }
+            fn on_tcp_closed(&mut self, ctx: &mut NetCtx<'_>, _conn: ConnToken) {
+                self.next(ctx);
+            }
+            fn on_tcp_refused(&mut self, ctx: &mut NetCtx<'_>, _conn: ConnToken) {
+                self.next(ctx);
+            }
+        }
+        let mut net = SimNet::new(SimNetConfig::default());
+        let haddr = ip(16, 1, 0, 12);
+        let hid = net.attach(haddr, Box::new(DionaeaHoneypot::new()));
+        let qid = net.attach(
+            ip(16, 1, 0, 95),
+            Box::new(Quitter {
+                dst: SockAddr::new(haddr, 21),
+                left: 1_100,
+            }),
+        );
+        net.run_until(SimTime(3_600_000));
+        assert_eq!(net.agent_downcast::<Quitter>(qid).unwrap().left, 0);
+        let h = net.agent_downcast::<DionaeaHoneypot>(hid).unwrap();
+        let logins = h
+            .log
+            .events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::LoginAttempt { .. }))
+            .count();
+        assert_eq!(logins, 1_100);
+        assert_eq!((h.sessions.shed(), h.sessions.live()), (0, 0));
     }
 
     #[test]

@@ -5,33 +5,39 @@
 //! most attack events of any honeypot in Table 7 (73,763), and its CoAP
 //! smoke-sensor profile is the reflection-attack magnet of §5.1.3.
 
-use std::collections::HashMap;
-
 use ofh_net::Payload;
 use ofh_net::{Agent, ConnToken, NetCtx, SockAddr, TcpDecision};
 use ofh_wire::amqp::{frame_type, ConnectionStart, Frame, PROTOCOL_HEADER};
 use ofh_wire::coap::{render_link_format, Code, LinkEntry, Message, MsgType};
-use ofh_wire::mqtt::{ConnectReturnCode, Packet};
-use ofh_wire::smb::{command as smb_cmd, SmbMessage};
-use ofh_wire::telnet::visible_text;
-use ofh_wire::{http, ports, Protocol};
+use ofh_wire::mqtt::Packet;
+use ofh_wire::{ports, Protocol};
 
 use crate::deployed::common::{
-    drain_lines, extract_url, looks_like_binary, ConnGate, LoginMachine, LoginStep,
+    extract_url, looks_like_binary, LoginMachine, LoginState, LoginStep, Sessions,
 };
-use crate::events::{EventKind, EventLog};
+use crate::deployed::DeployedHoneypot;
+use crate::events::{AttackEvent, EventKind, EventLog};
+
+/// Per-connection state: the Telnet/SSH login dialogue and the AMQP
+/// handshake progress.
+#[derive(Debug, Default)]
+struct Conn {
+    login: LoginState,
+    amqp_started: bool,
+}
+
+impl AsMut<LoginState> for Conn {
+    fn as_mut(&mut self) -> &mut LoginState {
+        &mut self.login
+    }
+}
 
 /// The HosTaGe honeypot agent.
 pub struct HosTaGeHoneypot {
     pub log: EventLog,
     telnet: LoginMachine,
     ssh: LoginMachine,
-    conns: HashMap<ConnToken, (Protocol, SockAddr, Vec<u8>)>,
-    /// Authenticated MQTT connections.
-    mqtt_authed: HashMap<ConnToken, bool>,
-    /// AMQP handshake progress.
-    amqp_started: HashMap<ConnToken, bool>,
-    gate: ConnGate,
+    sessions: Sessions<Conn>,
 }
 
 impl Default for HosTaGeHoneypot {
@@ -49,16 +55,8 @@ impl HosTaGeHoneypot {
             log: EventLog::new("HosTaGe"),
             telnet,
             ssh,
-            conns: HashMap::new(),
-            mqtt_authed: HashMap::new(),
-            amqp_started: HashMap::new(),
-            gate: ConnGate::default(),
+            sessions: Sessions::default(),
         }
-    }
-
-    /// Connections refused because the gate was full (flood shedding).
-    pub fn shed_connections(&self) -> u64 {
-        self.gate.shed()
     }
 
     fn coap_resources() -> Vec<LinkEntry> {
@@ -72,6 +70,12 @@ impl HosTaGeHoneypot {
                 attrs: vec![("rt".into(), "temperature".into())],
             },
         ]
+    }
+}
+
+impl DeployedHoneypot for HosTaGeHoneypot {
+    fn drain(&mut self) -> (Vec<AttackEvent>, u64) {
+        (std::mem::take(&mut self.log.events), self.sessions.shed())
     }
 }
 
@@ -92,18 +96,17 @@ impl Agent for HosTaGeHoneypot {
             ports::SMB => Protocol::Smb,
             _ => return TcpDecision::Refuse,
         };
-        if !self.gate.try_admit() {
+        if !self
+            .sessions
+            .admit(&mut self.log, ctx.now(), conn, protocol, peer)
+        {
             return TcpDecision::Refuse;
         }
-        self.conns.insert(conn, (protocol, peer, Vec::new()));
-        self.log.log(ctx.now(), protocol, peer.addr, peer.port, EventKind::Connection);
         match protocol {
             Protocol::Telnet => {
-                self.telnet.open(conn);
                 TcpDecision::accept_with(b"Arduino IoT Gateway\r\nlogin: ".to_vec())
             }
             Protocol::Ssh => {
-                self.ssh.open(conn);
                 TcpDecision::accept_with(b"SSH-2.0-OpenSSH_7.4 ArduinoIoT\r\n".to_vec())
             }
             _ => TcpDecision::accept(),
@@ -111,161 +114,86 @@ impl Agent for HosTaGeHoneypot {
     }
 
     fn on_tcp_data(&mut self, ctx: &mut NetCtx<'_>, conn: ConnToken, data: &Payload) {
-        let Some((protocol, peer, _)) = self.conns.get(&conn).map(|(p, s, _)| (*p, *s, ())) else {
+        let Some(s) = self.sessions.get_mut(conn) else {
             return;
         };
         let now = ctx.now();
-        match protocol {
+        match s.protocol {
             Protocol::Telnet | Protocol::Ssh => {
                 if looks_like_binary(data) {
-                    self.log.log(
-                        now,
-                        protocol,
-                        peer.addr,
-                        peer.port,
-                        EventKind::PayloadDrop { payload: data.to_vec(), url: None },
-                    );
+                    let drop = EventKind::PayloadDrop {
+                        payload: data.to_vec(),
+                        url: None,
+                    };
+                    s.log(&mut self.log, now, drop);
                     return;
                 }
-                let cleaned = if protocol == Protocol::Telnet {
-                    visible_text(data)
-                } else {
-                    data.to_vec()
-                };
-                let buf = &mut self.conns.get_mut(&conn).unwrap().2;
-                buf.extend_from_slice(&cleaned);
-                for line in drain_lines(buf) {
-                    if line.is_empty() {
-                        continue;
-                    }
+                let ssh = s.protocol == Protocol::Ssh;
+                let machine = if ssh { &self.ssh } else { &self.telnet };
+                for line in s.lines(data) {
                     if line.starts_with("SSH-") {
                         ctx.tcp_send(conn, "KEXINIT\n"); // see cowrie.rs
                         continue;
                     }
-                    let machine = if protocol == Protocol::Ssh { &mut self.ssh } else { &mut self.telnet };
-                    // Simplified-SSH auth framing shared with Cowrie.
-                    if protocol == Protocol::Ssh {
-                        if let Some(rest) = line.strip_prefix("AUTH ") {
-                            let mut it = rest.splitn(2, ' ');
-                            let user = it.next().unwrap_or("").to_string();
-                            let pass = it.next().unwrap_or("").to_string();
-                            machine.feed(conn, &user);
-                            if let LoginStep::Attempt { success, .. } = machine.feed(conn, &pass) {
-                                self.log.log(
-                                    now,
-                                    protocol,
-                                    peer.addr,
-                                    peer.port,
-                                    EventKind::LoginAttempt { username: user, password: pass, success },
-                                );
-                                ctx.tcp_send(conn, if success { "OK\n" } else { "DENIED\n" });
-                            }
-                            continue;
-                        }
+                    if ssh && s.ssh_auth(ctx, conn, &mut self.log, machine, &line) {
+                        continue;
                     }
-                    match machine.feed(conn, &line) {
+                    match machine.feed(&mut s.state.login, &line) {
                         LoginStep::Prompt(p) => ctx.tcp_send(conn, p),
-                        LoginStep::Attempt { username, password, success } => {
-                            self.log.log(
-                                now,
-                                protocol,
-                                peer.addr,
-                                peer.port,
-                                EventKind::LoginAttempt { username, password, success },
-                            );
+                        LoginStep::Attempt {
+                            username,
+                            password,
+                            success,
+                        } => {
+                            let attempt = EventKind::LoginAttempt {
+                                username,
+                                password,
+                                success,
+                            };
+                            s.log(&mut self.log, now, attempt);
                             ctx.tcp_send(conn, if success { "$ " } else { "login: " });
                         }
                         LoginStep::Command(cmd) => {
                             if let Some(url) = extract_url(&cmd) {
-                                self.log.log(
-                                    now,
-                                    protocol,
-                                    peer.addr,
-                                    peer.port,
-                                    EventKind::PayloadDrop { payload: Vec::new(), url: Some(url) },
-                                );
+                                let drop = EventKind::PayloadDrop {
+                                    payload: Vec::new(),
+                                    url: Some(url),
+                                };
+                                s.log(&mut self.log, now, drop);
                             }
-                            self.log.log(
-                                now,
-                                protocol,
-                                peer.addr,
-                                peer.port,
-                                EventKind::Command { line: cmd },
-                            );
+                            s.log(&mut self.log, now, EventKind::Command { line: cmd });
                             ctx.tcp_send(conn, "$ ");
                         }
                     }
                 }
             }
             Protocol::Mqtt => {
-                let buf = &mut self.conns.get_mut(&conn).unwrap().2;
-                buf.extend_from_slice(data);
-                loop {
-                    let snapshot = self.conns.get(&conn).map(|(_, _, b)| b.clone()).unwrap_or_default();
-                    let Ok((packet, used)) = Packet::decode(&snapshot) else { break };
-                    self.conns.get_mut(&conn).unwrap().2.drain(..used);
-                    match packet {
-                        Packet::Connect { username, password, .. } => {
-                            self.mqtt_authed.insert(conn, true);
-                            if let (Some(u), Some(p)) = (username, password) {
-                                self.log.log(
-                                    now,
-                                    protocol,
-                                    peer.addr,
-                                    peer.port,
-                                    EventKind::LoginAttempt {
-                                        username: u,
-                                        password: String::from_utf8_lossy(&p).into_owned(),
-                                        success: true,
-                                    },
-                                );
-                            }
-                            ctx.tcp_send(
-                                conn,
-                                Packet::ConnAck {
-                                    session_present: false,
-                                    return_code: ConnectReturnCode::Accepted,
-                                }
-                                .encode(),
-                            );
-                        }
-                        Packet::Subscribe { packet_id, topics } => {
-                            for (t, _) in &topics {
-                                self.log.log(
-                                    now,
-                                    protocol,
-                                    peer.addr,
-                                    peer.port,
-                                    EventKind::DataRead { target: t.clone() },
-                                );
-                            }
-                            ctx.tcp_send(
-                                conn,
-                                Packet::SubAck { packet_id, return_codes: vec![0; topics.len().max(1)] }
-                                    .encode(),
-                            );
-                        }
-                        Packet::Publish { topic, .. } => {
-                            self.log.log(
-                                now,
-                                protocol,
-                                peer.addr,
-                                peer.port,
-                                EventKind::DataWrite { target: topic },
-                            );
+                s.buf.extend_from_slice(data);
+                for packet in Packet::drain(&mut s.buf) {
+                    // Beyond the shared broker, HosTaGe logs credentials
+                    // and answers keep-alives.
+                    match &packet {
+                        Packet::Connect {
+                            username: Some(u),
+                            password: Some(p),
+                            ..
+                        } => {
+                            let attempt = EventKind::LoginAttempt {
+                                username: u.clone(),
+                                password: String::from_utf8_lossy(p).into_owned(),
+                                success: true,
+                            };
+                            s.log(&mut self.log, now, attempt);
                         }
                         Packet::PingReq => ctx.tcp_send(conn, Packet::PingResp.encode()),
                         _ => {}
                     }
-                    if self.conns.get(&conn).map_or(true, |(_, _, b)| b.is_empty()) {
-                        break;
-                    }
+                    s.mqtt_broker(ctx, conn, &mut self.log, packet);
                 }
             }
             Protocol::Amqp => {
-                let started = self.amqp_started.get(&conn).copied().unwrap_or(false);
-                if !started && data.starts_with(&PROTOCOL_HEADER) {
-                    self.amqp_started.insert(conn, true);
+                if !s.state.amqp_started && data.starts_with(&PROTOCOL_HEADER) {
+                    s.state.amqp_started = true;
                     let start = ConnectionStart {
                         version_major: 0,
                         version_minor: 9,
@@ -285,16 +213,16 @@ impl Agent for HosTaGeHoneypot {
                         }
                         .encode(),
                     );
-                } else if started {
+                } else if s.state.amqp_started {
                     // Publishes / floods: every frame is a data write.
                     let mut rest = data.as_slice();
                     while let Ok((_, used)) = Frame::decode(rest) {
-                        self.log.log(
+                        s.log(
+                            &mut self.log,
                             now,
-                            protocol,
-                            peer.addr,
-                            peer.port,
-                            EventKind::DataWrite { target: "amqp-queue".into() },
+                            EventKind::DataWrite {
+                                target: "amqp-queue".into(),
+                            },
                         );
                         rest = &rest[used..];
                         if rest.is_empty() {
@@ -303,54 +231,15 @@ impl Agent for HosTaGeHoneypot {
                     }
                 }
             }
-            Protocol::Http => {
-                if let Ok(req) = http::Request::parse(data) {
-                    self.log.log(
-                        now,
-                        protocol,
-                        peer.addr,
-                        peer.port,
-                        EventKind::HttpRequest { path: req.path.clone() },
-                    );
-                    let resp = http::Response::ok(
-                        b"<html><title>Arduino IoT Gateway</title><form>login</form></html>".to_vec(),
-                    )
-                    .with_server("ArduinoWebServer/1.0");
-                    ctx.tcp_send(conn, resp.render());
-                }
-            }
-            Protocol::Smb => {
-                if let Ok(msg) = SmbMessage::decode(data) {
-                    let kind = if msg.command == smb_cmd::TRANS2 {
-                        // The Eternal* exploit vector.
-                        EventKind::ExploitSignature { name: "SMB Trans2 anomaly".into() }
-                    } else {
-                        EventKind::Datagram { len: data.len() }
-                    };
-                    self.log.log(now, protocol, peer.addr, peer.port, kind);
-                    if msg.command == smb_cmd::NEGOTIATE {
-                        // Answer the dialect negotiation so the exploit's
-                        // second stage proceeds (that's the lure).
-                        let resp = SmbMessage {
-                            command: smb_cmd::NEGOTIATE,
-                            status: 0,
-                            flags2: msg.flags2,
-                            mid: msg.mid,
-                            data: vec![2, 0], // selected dialect index
-                        };
-                        ctx.tcp_send(conn, resp.encode());
-                    }
-                    if looks_like_binary(&msg.data) {
-                        self.log.log(
-                            now,
-                            protocol,
-                            peer.addr,
-                            peer.port,
-                            EventKind::PayloadDrop { payload: msg.data, url: None },
-                        );
-                    }
-                }
-            }
+            Protocol::Http => s.http_page(
+                ctx,
+                conn,
+                &mut self.log,
+                data,
+                b"<html><title>Arduino IoT Gateway</title><form>login</form></html>",
+                "ArduinoWebServer/1.0",
+            ),
+            Protocol::Smb => s.smb_lure(ctx, conn, &mut self.log, data),
             _ => {}
         }
     }
@@ -403,16 +292,7 @@ impl Agent for HosTaGeHoneypot {
     }
 
     fn on_tcp_closed(&mut self, _ctx: &mut NetCtx<'_>, conn: ConnToken) {
-        if let Some((protocol, _, _)) = self.conns.remove(&conn) {
-            self.gate.release();
-            match protocol {
-                Protocol::Telnet => self.telnet.close(conn),
-                Protocol::Ssh => self.ssh.close(conn),
-                _ => {}
-            }
-        }
-        self.mqtt_authed.remove(&conn);
-        self.amqp_started.remove(&conn);
+        self.sessions.close(conn);
     }
 }
 
@@ -420,6 +300,8 @@ impl Agent for HosTaGeHoneypot {
 mod tests {
     use super::*;
     use ofh_net::{ip, SimNet, SimNetConfig, SimTime};
+    use ofh_wire::http;
+    use ofh_wire::smb::{command as smb_cmd, SmbMessage};
 
     struct Driver {
         dst: SockAddr,

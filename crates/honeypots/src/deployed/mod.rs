@@ -12,6 +12,12 @@
 //! Every agent logs raw [`AttackEvent`](crate::events::AttackEvent)s; nothing
 //! is classified at capture time.
 //!
+//! **Session layer** ([`common`]): each of the five TCP honeypots keeps its
+//! connections in one [`Sessions`](common::Sessions) table, and the
+//! services several of them emulate exist there once. Shared code never
+//! branches on which honeypot calls it; each honeypot's file keeps what its
+//! emulated product does (banners, prompts, event order, protocol replies).
+//!
 //! **SSH substitution** (see DESIGN.md): the SSH *transport* (KEX, cipher
 //! negotiation) adds nothing to the study — the paper's data is credentials,
 //! commands, and dropped binaries. After the standard identification-string
@@ -27,12 +33,23 @@ pub mod hostage;
 pub mod thingpot;
 pub mod upot;
 
+use ofh_net::Agent;
+
+use crate::events::AttackEvent;
+
 pub use conpot::ConpotHoneypot;
 pub use cowrie::CowrieHoneypot;
 pub use dionaea::DionaeaHoneypot;
 pub use hostage::HosTaGeHoneypot;
 pub use thingpot::ThingPotHoneypot;
 pub use upot::UPotHoneypot;
+
+/// What a study reads back from a deployed honeypot after the month.
+pub trait DeployedHoneypot: Agent + Default {
+    /// Take the logged events, leaving the log empty, and the number of
+    /// connections the flood gate refused.
+    fn drain(&mut self) -> (Vec<AttackEvent>, u64);
+}
 
 /// Identifies a deployed honeypot (Table 7 row group).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

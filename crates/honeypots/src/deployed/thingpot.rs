@@ -5,21 +5,20 @@
 //! attacks, and malware logging in as anonymous users to flip the light
 //! state (probing their write privileges).
 
-use std::collections::HashMap;
-
 use ofh_net::Payload;
 use ofh_net::{Agent, ConnToken, NetCtx, SockAddr, TcpDecision};
 use ofh_wire::xmpp::{Mechanism, StreamFeatures};
-use ofh_wire::{http, ports, Protocol};
+use ofh_wire::{ports, Protocol};
 
-use crate::deployed::common::ConnGate;
-use crate::events::{EventKind, EventLog};
+use crate::deployed::common::Sessions;
+use crate::deployed::DeployedHoneypot;
+use crate::events::{AttackEvent, EventKind, EventLog};
 
-/// The ThingPot honeypot agent.
+/// The ThingPot honeypot agent. Each session's state is whether the
+/// client has opened its XMPP stream.
 pub struct ThingPotHoneypot {
     pub log: EventLog,
-    opened: HashMap<ConnToken, (SockAddr, bool)>,
-    gate: ConnGate,
+    sessions: Sessions<bool>,
 }
 
 impl Default for ThingPotHoneypot {
@@ -32,14 +31,8 @@ impl ThingPotHoneypot {
     pub fn new() -> Self {
         ThingPotHoneypot {
             log: EventLog::new("ThingPot"),
-            opened: HashMap::new(),
-            gate: ConnGate::default(),
+            sessions: Sessions::default(),
         }
-    }
-
-    /// Connections refused because the gate was full (flood shedding).
-    pub fn shed_connections(&self) -> u64 {
-        self.gate.shed()
     }
 
     fn features() -> StreamFeatures {
@@ -50,6 +43,12 @@ impl ThingPotHoneypot {
             mechanisms: vec![Mechanism::Plain, Mechanism::Anonymous],
             version: Some("ejabberd-2.1.11".into()),
         }
+    }
+}
+
+impl DeployedHoneypot for ThingPotHoneypot {
+    fn drain(&mut self) -> (Vec<AttackEvent>, u64) {
+        (std::mem::take(&mut self.log.events), self.sessions.shed())
     }
 }
 
@@ -66,42 +65,31 @@ impl Agent for ThingPotHoneypot {
             ports::HTTP => Protocol::Http,
             _ => return TcpDecision::Refuse,
         };
-        if !self.gate.try_admit() {
+        if !self
+            .sessions
+            .admit(&mut self.log, ctx.now(), conn, protocol, peer)
+        {
             return TcpDecision::Refuse;
         }
-        self.log.log(ctx.now(), protocol, peer.addr, peer.port, EventKind::Connection);
-        self.opened.insert(conn, (peer, false));
         TcpDecision::accept()
     }
 
     fn on_tcp_data(&mut self, ctx: &mut NetCtx<'_>, conn: ConnToken, data: &Payload) {
-        let Some(&(peer, stream_opened)) = self.opened.get(&conn) else {
+        let Some(s) = self.sessions.get_mut(conn) else {
             return;
         };
         let now = ctx.now();
-        // HTTP frontend.
+        let peer = s.peer;
+        // HTTP frontend, on either port.
         if data.starts_with(b"GET") || data.starts_with(b"POST") {
-            if let Ok(req) = http::Request::parse(data) {
-                self.log.log(
-                    now,
-                    Protocol::Http,
-                    peer.addr,
-                    peer.port,
-                    EventKind::HttpRequest { path: req.path.clone() },
-                );
-                ctx.tcp_send(
-                    conn,
-                    http::Response::ok(b"{\"bridgeid\":\"001788FFFE23A189\",\"name\":\"Philips hue\"}".to_vec())
-                        .with_server("nginx")
-                        .render(),
-                );
-            }
+            let bridge = b"{\"bridgeid\":\"001788FFFE23A189\",\"name\":\"Philips hue\"}";
+            s.http_page(ctx, conn, &mut self.log, data, bridge, "nginx");
             return;
         }
         let text = String::from_utf8_lossy(data).into_owned();
-        if !stream_opened {
+        if !s.state {
             if text.contains("<stream:stream") {
-                self.opened.insert(conn, (peer, true));
+                s.state = true;
                 ctx.tcp_send(conn, Self::features().render().into_bytes());
             }
             return;
@@ -158,9 +146,7 @@ impl Agent for ThingPotHoneypot {
     }
 
     fn on_tcp_closed(&mut self, _ctx: &mut NetCtx<'_>, conn: ConnToken) {
-        if self.opened.remove(&conn).is_some() {
-            self.gate.release();
-        }
+        self.sessions.close(conn);
     }
 }
 
@@ -168,6 +154,7 @@ impl Agent for ThingPotHoneypot {
 mod tests {
     use super::*;
     use ofh_net::{ip, SimNet, SimNetConfig, SimTime};
+    use ofh_wire::http;
     use ofh_wire::xmpp::client_stream_open;
 
     struct XmppBot {

@@ -12,7 +12,8 @@ use ofh_net::{Agent, NetCtx, SockAddr};
 use ofh_wire::ssdp::{DeviceDescription, SsdpMessage};
 use ofh_wire::{ports, Protocol};
 
-use crate::events::{EventKind, EventLog};
+use crate::deployed::DeployedHoneypot;
+use crate::events::{AttackEvent, EventKind, EventLog};
 
 /// The U-Pot honeypot agent.
 pub struct UPotHoneypot {
@@ -32,12 +33,6 @@ impl UPotHoneypot {
         }
     }
 
-    /// U-Pot is UDP-only (SSDP): there are no connections to shed, but the
-    /// uniform accessor keeps fleet-wide shed accounting simple.
-    pub fn shed_connections(&self) -> u64 {
-        0
-    }
-
     fn wemo() -> DeviceDescription {
         DeviceDescription {
             friendly_name: "Wemo Switch".into(),
@@ -46,6 +41,13 @@ impl UPotHoneypot {
             model_description: "Belkin Plugin Socket 1.0".into(),
             model_number: "1.0".into(),
         }
+    }
+}
+
+impl DeployedHoneypot for UPotHoneypot {
+    /// U-Pot is UDP-only (SSDP): it has no connections to shed.
+    fn drain(&mut self) -> (Vec<AttackEvent>, u64) {
+        (std::mem::take(&mut self.log.events), 0)
     }
 }
 

@@ -21,8 +21,8 @@ pub mod events;
 pub mod wild;
 
 pub use deployed::{
-    ConpotHoneypot, CowrieHoneypot, DionaeaHoneypot, HoneypotKind, HosTaGeHoneypot,
-    ThingPotHoneypot, UPotHoneypot,
+    ConpotHoneypot, CowrieHoneypot, DeployedHoneypot, DionaeaHoneypot, HoneypotKind,
+    HosTaGeHoneypot, ThingPotHoneypot, UPotHoneypot,
 };
 pub use events::{AttackEvent, EventKind, EventLog};
 pub use wild::{WildHoneypot, WildHoneypotAgent};

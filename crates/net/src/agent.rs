@@ -98,7 +98,9 @@ pub trait Agent: Any {
         let _ = (ctx, conn, data);
     }
 
-    /// The peer closed the connection.
+    /// The peer closed the connection. An agent that closes a connection
+    /// itself ([`NetCtx::tcp_close`]) gets no callback for it, so it drops
+    /// its own per-connection state when it closes.
     fn on_tcp_closed(&mut self, ctx: &mut NetCtx<'_>, conn: ConnToken) {
         let _ = (ctx, conn);
     }
@@ -142,11 +144,6 @@ impl<'a> NetCtx<'a> {
         self.my_addr
     }
 
-    /// This agent's id.
-    pub fn my_id(&self) -> AgentId {
-        self.me
-    }
-
     /// The fabric-level deterministic RNG.
     pub fn rng(&mut self) -> &mut StdRng {
         &mut self.fabric.rng
@@ -158,12 +155,6 @@ impl<'a> NetCtx<'a> {
     pub fn tcp_connect(&mut self, dst: SockAddr) -> ConnToken {
         let sport = self.fabric.next_ephemeral_port();
         self.fabric.tcp_connect(self.me, self.my_addr, sport, dst, 0)
-    }
-
-    /// Initiate a TCP connection from a specific source port (scanners use
-    /// fixed source ports so responses can be matched statelessly).
-    pub fn tcp_connect_from(&mut self, src_port: u16, dst: SockAddr) -> ConnToken {
-        self.fabric.tcp_connect(self.me, self.my_addr, src_port, dst, 0)
     }
 
     /// Like [`Self::tcp_connect`], attaching an opaque `tag` retrievable via
@@ -208,7 +199,8 @@ impl<'a> NetCtx<'a> {
         self.fabric.tcp_send(self.me, conn, data.into());
     }
 
-    /// Close a connection. The peer receives `on_tcp_closed`.
+    /// Close a connection. The peer receives `on_tcp_closed`; the closing
+    /// agent gets no callback, so it drops its own state for `conn` now.
     pub fn tcp_close(&mut self, conn: ConnToken) {
         self.fabric.tcp_close(self.me, conn);
     }

@@ -1124,16 +1124,6 @@ impl SimNet {
         self.addrs[id.0 as usize]
     }
 
-    /// The agent attached at `addr`, if any.
-    pub fn agent_at(&self, addr: Ipv4Addr) -> Option<AgentId> {
-        self.fabric.by_addr.get(&addr).copied()
-    }
-
-    /// Number of attached agents.
-    pub fn agent_count(&self) -> usize {
-        self.agents.len()
-    }
-
     /// Traffic counters so far.
     pub fn counters(&self) -> Counters {
         self.fabric.counters
@@ -1232,17 +1222,6 @@ impl SimNet {
         self.fabric.obs_udp_bytes = ofh_obs::Histogram::default();
     }
 
-    /// Process a single event. Returns `false` when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        let Some((_, ev)) = self.fabric.queue.pop() else {
-            return false;
-        };
-        self.fabric.counters.events_processed += 1;
-        self.note_event();
-        self.dispatch(ev);
-        true
-    }
-
     /// Run until the queue is empty or the clock passes `deadline`.
     /// Events scheduled exactly at the deadline are processed.
     pub fn run_until(&mut self, deadline: SimTime) {
@@ -1254,12 +1233,6 @@ impl SimNet {
         if self.fabric.queue.now() < deadline {
             self.fabric.queue.advance_to(deadline);
         }
-    }
-
-    /// Run until the event queue drains completely. Only safe for workloads
-    /// without self-rearming timers; prefer [`Self::run_until`].
-    pub fn run_to_idle(&mut self) {
-        while self.step() {}
     }
 
     /// Recover a concrete agent for result extraction after (or during) a run.
@@ -1281,18 +1254,6 @@ impl SimNet {
         let (_, tap) = self.fabric.taps.get_mut(id.0)?;
         let any: &mut dyn Any = tap.as_mut();
         any.downcast_mut::<T>()
-    }
-
-    /// Visit every attached agent of concrete type `T`.
-    pub fn for_each_agent<T: Agent>(&self, mut f: impl FnMut(AgentId, &T)) {
-        for (i, slot) in self.agents.iter().enumerate() {
-            if let Some(agent) = slot.as_deref() {
-                let any: &dyn Any = agent;
-                if let Some(t) = any.downcast_ref::<T>() {
-                    f(AgentId(i as u32), t);
-                }
-            }
-        }
     }
 
     fn with_agent(&mut self, id: AgentId, f: impl FnOnce(&mut dyn Agent, &mut NetCtx<'_>)) {

@@ -184,6 +184,26 @@ impl StoreReader {
         }
     }
 
+    /// Rows of `table` whose dictionary columns carry every filter's label
+    /// (`None` filters nothing). Every column must exist; a label missing
+    /// from its column's dictionary matches no row.
+    fn count_labels(&self, table: &str, specs: &[(&Option<String>, &str)]) -> Result<u64> {
+        let t = self.table(table)?;
+        let dicts: Vec<_> = specs
+            .iter()
+            .map(|(_, c)| t.dict(c))
+            .collect::<Result<_>>()?;
+        let mut filters = Vec::new();
+        for ((f, _), d) in specs.iter().zip(dicts) {
+            match Self::resolve(f, d) {
+                Ok(Some(p)) => filters.push(p),
+                Ok(None) => {}
+                Err(()) => return Ok(0),
+            }
+        }
+        Ok(self.count_filtered(t.rows, &filters))
+    }
+
     /// Bitmap-AND count over any number of (dict, code) predicates.
     fn count_filtered(&self, rows: usize, filters: &[(&DictView, u8)]) -> u64 {
         match filters {
@@ -255,22 +275,15 @@ impl StoreReader {
         misconfig: &Option<String>,
         country: &Option<String>,
     ) -> Result<u64> {
-        let t = self.table("scan")?;
-        let specs = [
-            (source, t.dict("source")?),
-            (protocol, t.dict("protocol")?),
-            (misconfig, t.dict("misconfig")?),
-            (country, t.dict("country")?),
-        ];
-        let mut filters = Vec::new();
-        for (f, d) in specs {
-            match Self::resolve(f, d) {
-                Ok(Some(p)) => filters.push(p),
-                Ok(None) => {}
-                Err(()) => return Ok(0),
-            }
-        }
-        Ok(self.count_filtered(t.rows, &filters))
+        self.count_labels(
+            "scan",
+            &[
+                (source, "source"),
+                (protocol, "protocol"),
+                (misconfig, "misconfig"),
+                (country, "country"),
+            ],
+        )
     }
 
     pub fn count_events(
@@ -280,22 +293,15 @@ impl StoreReader {
         attack_type: &Option<String>,
         class: &Option<String>,
     ) -> Result<u64> {
-        let t = self.table("events")?;
-        let specs = [
-            (honeypot, t.dict("honeypot")?),
-            (protocol, t.dict("protocol")?),
-            (attack_type, t.dict("attack_type")?),
-            (class, t.dict("src_class")?),
-        ];
-        let mut filters = Vec::new();
-        for (f, d) in specs {
-            match Self::resolve(f, d) {
-                Ok(Some(p)) => filters.push(p),
-                Ok(None) => {}
-                Err(()) => return Ok(0),
-            }
-        }
-        Ok(self.count_filtered(t.rows, &filters))
+        self.count_labels(
+            "events",
+            &[
+                (honeypot, "honeypot"),
+                (protocol, "protocol"),
+                (attack_type, "attack_type"),
+                (class, "src_class"),
+            ],
+        )
     }
 
     pub fn events_in_range(
@@ -341,20 +347,7 @@ impl StoreReader {
         protocol: &Option<String>,
         country: &Option<String>,
     ) -> Result<u64> {
-        let t = self.table("telescope")?;
-        let specs = [
-            (protocol, t.dict("protocol")?),
-            (country, t.dict("country")?),
-        ];
-        let mut filters = Vec::new();
-        for (f, d) in specs {
-            match Self::resolve(f, d) {
-                Ok(Some(p)) => filters.push(p),
-                Ok(None) => {}
-                Err(()) => return Ok(0),
-            }
-        }
-        Ok(self.count_filtered(t.rows, &filters))
+        self.count_labels("telescope", &[(protocol, "protocol"), (country, "country")])
     }
 
     pub fn info(&self) -> Result<String> {

@@ -383,6 +383,21 @@ impl Packet {
         };
         Ok((packet, total))
     }
+
+    /// Remove and decode every complete packet at the front of a stream
+    /// buffer, in order. A partial packet stays buffered for the next
+    /// segment; so do bytes that fail to decode, which stall the stream
+    /// (an MQTT peer cannot resynchronise past garbage).
+    pub fn drain(buf: &mut Vec<u8>) -> Vec<Packet> {
+        let mut packets = Vec::new();
+        let mut used = 0;
+        while let Ok((packet, n)) = Packet::decode(&buf[used..]) {
+            packets.push(packet);
+            used += n;
+        }
+        buf.drain(..used);
+        packets
+    }
 }
 
 #[cfg(test)]
@@ -504,6 +519,39 @@ mod tests {
             decode_remaining_length(&out),
             Err(WireError::TooLarge { .. })
         ));
+    }
+
+    #[test]
+    fn drain_takes_complete_packets_and_keeps_the_rest() {
+        // Two packets plus the first half of a third.
+        let third = Packet::Publish {
+            topic: "a/b".into(),
+            packet_id: None,
+            payload: b"xyz".to_vec(),
+            qos: 0,
+            retain: false,
+        }
+        .encode();
+        let mut buf = Packet::PingReq.encode();
+        buf.extend_from_slice(&Packet::Disconnect.encode());
+        buf.extend_from_slice(&third[..4]);
+        assert_eq!(
+            Packet::drain(&mut buf),
+            vec![Packet::PingReq, Packet::Disconnect]
+        );
+        assert_eq!(buf, &third[..4]);
+        buf.extend_from_slice(&third[4..]);
+        assert_eq!(Packet::drain(&mut buf).len(), 1);
+        assert!(buf.is_empty());
+
+        // Garbage stalls the stream: nothing decodes, nothing is consumed.
+        let mut junk = vec![0x00, 0x00, 0xFF];
+        assert!(Packet::drain(&mut junk).is_empty());
+        assert_eq!(junk, vec![0x00, 0x00, 0xFF]);
+
+        let mut empty = Vec::new();
+        assert!(Packet::drain(&mut empty).is_empty());
+        assert!(empty.is_empty());
     }
 
     #[test]

@@ -1,15 +1,31 @@
 //! Golden-file determinism: the quick preset at seed 7 renders a
-//! byte-identical report, forever.
+//! byte-identical report, store and trace, forever.
 //!
 //! [`determinism.rs`](determinism.rs) proves runs agree with *each other*;
-//! this test pins the output against a checked-in snapshot so an
+//! this test pins the output against checked-in references so an
 //! optimization that changes event order (and therefore the trace) cannot
-//! slip through by perturbing both runs the same way. Regenerate with
+//! slip through by perturbing both runs the same way. Regenerate the report
+//! with
 //! `cargo run --release --example quickstart > tests/golden/quickstart_seed7.txt`
 //! — but only after deciding the behavior change is intentional.
+//!
+//! The store and the trace are pinned by SHA-256, because two events
+//! swapped inside one honeypot callback can leave the rendered report
+//! unchanged while they reorder the store's event rows. Regenerate both
+//! digests with
+//! `openforhire study --preset quick --seed 7 --store-out s --trace-out t`
+//! and `sha256sum s t`, under the same condition.
 
+use ofh_core::intel::sha256;
 use ofh_core::{Study, StudyConfig};
 use openforhire_suite as _;
+
+const STORE_SHA256: &str = "da70d0875386a80288616cb3716f9d4f16a1265fce0671f1175433821c8fc7a6";
+const TRACE_SHA256: &str = "5109ad86c108832e804e5e12f1bb5f7313c2c1b31e3ffa0f63488edc09d2573e";
+
+fn hex(digest: [u8; 32]) -> String {
+    digest.iter().map(|b| format!("{b:02x}")).collect()
+}
 
 #[test]
 fn quick_preset_seed7_matches_golden_file() {
@@ -31,4 +47,15 @@ fn quick_preset_seed7_matches_golden_file() {
             golden.len()
         );
     }
+    assert_eq!(
+        hex(sha256(&report.build_store())),
+        STORE_SHA256,
+        "store bytes moved"
+    );
+    let trace = report.trace.to_jsonl("quick", 16);
+    assert_eq!(
+        hex(sha256(trace.as_bytes())),
+        TRACE_SHA256,
+        "trace bytes moved"
+    );
 }
