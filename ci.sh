@@ -9,6 +9,23 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> cargo build --workspace --all-targets: no warnings"
+# Every target (libs, bins, tests, benches, examples) must build without a
+# rustc warning. Cargo replays the cached diagnostics of up-to-date units,
+# so a warning fails every run, not only the one that compiled it.
+BUILD_LOG="$(mktemp)"
+if ! cargo build --workspace --all-targets 2> "$BUILD_LOG"; then
+    cat "$BUILD_LOG" >&2
+    exit 1
+fi
+if grep -q '^warning' "$BUILD_LOG"; then
+    cat "$BUILD_LOG" >&2
+    echo "    ERROR: the build printed warnings" >&2
+    exit 1
+fi
+rm -f "$BUILD_LOG"
+echo "    all targets build warning-free"
+
 echo "==> cargo test --workspace -q"
 # The root manifest is itself a package, so a bare `cargo test` would only
 # test openforhire-suite; --workspace also runs every crate's unit tests

@@ -5,7 +5,7 @@ use std::net::Ipv4Addr;
 
 use ofh_devices::DeviceType;
 use ofh_intel::{GreyNoiseDb, GreyNoiseLabel, ReverseDns, VirusTotalDb};
-use ofh_scan::{ztag, ScanResults};
+use ofh_scan::ScanResults;
 use ofh_telescope::Telescope;
 use ofh_wire::Protocol;
 use serde::Serialize;
@@ -29,9 +29,12 @@ impl Fig2 {
         let mut cells: BTreeMap<(Protocol, DeviceType), BTreeSet<Ipv4Addr>> = BTreeMap::new();
         let mut unidentified: BTreeMap<Protocol, u64> = BTreeMap::new();
         for r in zmap.records.values() {
-            match ztag::tag_device_type(r.protocol, &r.response) {
-                Some(ty) => {
-                    cells.entry((r.protocol, ty)).or_default().insert(r.addr);
+            match r.device() {
+                Some(profile) => {
+                    cells
+                        .entry((r.protocol, profile.device_type))
+                        .or_default()
+                        .insert(r.addr);
                 }
                 None => *unidentified.entry(r.protocol).or_insert(0) += 1,
             }
@@ -669,27 +672,27 @@ mod tests {
     fn fig2_typing_from_scan() {
         use ofh_scan::HostRecord;
         let mut rs = ScanResults::new("ZMap Scan");
-        rs.insert(HostRecord {
-            addr: Ipv4Addr::from(1u32),
-            port: 23,
-            protocol: Protocol::Telnet,
-            response: "192.168.0.64 login:".into(),
-            raw: vec![],
-        });
-        rs.insert(HostRecord {
-            addr: Ipv4Addr::from(2u32),
-            port: 23,
-            protocol: Protocol::Telnet,
-            response: "PK5001Z login:".into(),
-            raw: vec![],
-        });
-        rs.insert(HostRecord {
-            addr: Ipv4Addr::from(3u32),
-            port: 23,
-            protocol: Protocol::Telnet,
-            response: "login:".into(),
-            raw: vec![],
-        });
+        rs.insert(HostRecord::new(
+            Ipv4Addr::from(1u32),
+            23,
+            Protocol::Telnet,
+            "192.168.0.64 login:",
+            Vec::new(),
+        ));
+        rs.insert(HostRecord::new(
+            Ipv4Addr::from(2u32),
+            23,
+            Protocol::Telnet,
+            "PK5001Z login:",
+            Vec::new(),
+        ));
+        rs.insert(HostRecord::new(
+            Ipv4Addr::from(3u32),
+            23,
+            Protocol::Telnet,
+            "login:",
+            Vec::new(),
+        ));
         let fig2 = Fig2::compute(&rs);
         assert_eq!(fig2.count(Protocol::Telnet, DeviceType::Camera), 1);
         assert_eq!(fig2.count(Protocol::Telnet, DeviceType::DslModem), 1);

@@ -112,13 +112,13 @@ mod tests {
         let mut next = 0x1000_0000u32;
         for &(proto, n) in counts {
             for _ in 0..n {
-                rs.insert(HostRecord {
-                    addr: std::net::Ipv4Addr::from(next),
-                    port: proto.port(),
-                    protocol: proto,
-                    response: "x".into(),
-                    raw: vec![],
-                });
+                rs.insert(HostRecord::new(
+                    std::net::Ipv4Addr::from(next),
+                    proto.port(),
+                    proto,
+                    "x",
+                    Vec::new(),
+                ));
                 next += 1;
             }
         }

@@ -106,13 +106,7 @@ mod tests {
     use ofh_wire::Protocol;
 
     fn record(addr: u32, proto: Protocol, response: &str) -> HostRecord {
-        HostRecord {
-            addr: Ipv4Addr::from(addr),
-            port: proto.port(),
-            protocol: proto,
-            response: response.into(),
-            raw: response.as_bytes().to_vec(),
-        }
+        HostRecord::new(Ipv4Addr::from(addr), proto.port(), proto, response, response.as_bytes())
     }
 
     #[test]

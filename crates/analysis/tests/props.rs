@@ -276,12 +276,14 @@ const RESPONSES: [(Protocol, &str); 16] = [
 /// so addresses repeat across classes and the filter removes some.
 fn arb_record() -> impl Strategy<Value = HostRecord> {
     (0u32..40, 0u16..3, prop::sample::select(RESPONSES.to_vec())).prop_map(
-        |(addr, port_offset, (protocol, response))| HostRecord {
-            addr: Ipv4Addr::from(0xc0a8_0000 + addr),
-            port: protocol.port() + port_offset,
-            protocol,
-            response: response.into(),
-            raw: response.as_bytes().to_vec(),
+        |(addr, port_offset, (protocol, response))| {
+            HostRecord::new(
+                Ipv4Addr::from(0xc0a8_0000 + addr),
+                protocol.port() + port_offset,
+                protocol,
+                response,
+                response.as_bytes(),
+            )
         },
     )
 }
@@ -381,12 +383,8 @@ proptest! {
             }
             results
         };
-        let fixed = |addr: u32, protocol: Protocol, port: u16| HostRecord {
-            addr: Ipv4Addr::from(0xc0a8_0100 + addr),
-            port,
-            protocol,
-            response: String::new(),
-            raw: Vec::new(),
+        let fixed = |addr: u32, protocol: Protocol, port: u16| {
+            HostRecord::new(Ipv4Addr::from(0xc0a8_0100 + addr), port, protocol, "", Vec::new())
         };
         let mut zmap = source("ZMap Scan", zmap);
         for r in [

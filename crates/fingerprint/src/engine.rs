@@ -87,7 +87,7 @@ pub fn passive_candidates(
         .records
         .values()
         .filter_map(|r| {
-            db.match_banner(&r.raw)
+            db.match_banner(r.raw())
                 .map(|family| (r.addr, r.port, family))
         })
         .collect();

@@ -3,9 +3,9 @@
 //! Every TCP honeypot keeps its connections in one [`Sessions`] table: one
 //! [`Session`] per admitted connection, holding the protocol fixed at
 //! accept, the peer, the receive buffer and the honeypot's own
-//! per-connection state. The table owns the honeypot's [`ConnGate`], so a
-//! gate slot is taken exactly when a session is inserted and freed exactly
-//! when it is removed.
+//! per-connection state. The table owns the honeypot's [`ConnGate`], and
+//! the gate's live count is the table's length, so a gate slot is taken
+//! exactly when a session is inserted and freed exactly when it is removed.
 //!
 //! The services more than one honeypot emulates exist here once: Telnet/SSH
 //! line extraction ([`Session::lines`]), the login dialogue
@@ -126,10 +126,10 @@ impl LoginMachine {
 /// rather than grow per-connection state without bound. Every deployed
 /// honeypot admits connections through the gate of its [`Sessions`] table:
 /// over the cap, the connection is refused and counted, exactly like an
-/// exhausted `accept()` backlog.
+/// exhausted `accept()` backlog. The gate holds only the cap and the shed
+/// count; the live count is the table's, one entry per open session.
 #[derive(Debug)]
 pub struct ConnGate {
-    live: u64,
     max_live: u64,
     shed: u64,
 }
@@ -142,33 +142,18 @@ impl Default for ConnGate {
 
 impl ConnGate {
     pub fn new(max_live: u64) -> Self {
-        ConnGate {
-            live: 0,
-            max_live,
-            shed: 0,
-        }
+        ConnGate { max_live, shed: 0 }
     }
 
-    /// Try to admit one connection: `true` admits (and counts it live),
-    /// `false` means the caller should refuse it.
-    pub fn try_admit(&mut self) -> bool {
-        if self.live >= self.max_live {
+    /// Try to admit one connection beside `live` open ones: `true` admits,
+    /// `false` counts it shed and means the caller should refuse it.
+    pub fn try_admit(&mut self, live: u64) -> bool {
+        if live >= self.max_live {
             self.shed += 1;
             ofh_obs::live::shed(1);
             return false;
         }
-        self.live += 1;
         true
-    }
-
-    /// An admitted connection ended (closed, reset, or torn down).
-    pub fn release(&mut self) {
-        self.live = self.live.saturating_sub(1);
-    }
-
-    /// Connections currently admitted.
-    pub fn live(&self) -> u64 {
-        self.live
     }
 
     /// Connections refused because the gate was full.
@@ -224,7 +209,7 @@ impl<S: Default> Sessions<S> {
         protocol: Protocol,
         peer: SockAddr,
     ) -> bool {
-        if !self.gate.try_admit() {
+        if !self.gate.try_admit(self.live()) {
             return false;
         }
         let session = Session {
@@ -244,12 +229,10 @@ impl<S> Sessions<S> {
         self.live.get_mut(&conn)
     }
 
-    /// End a session and free its gate slot. An unknown token (a refused
-    /// connection, or one already closed) is a no-op.
+    /// End a session, which frees its gate slot. An unknown token (a
+    /// refused connection, or one already closed) is a no-op.
     pub fn close(&mut self, conn: ConnToken) {
-        if self.live.remove(&conn).is_some() {
-            self.gate.release();
-        }
+        self.live.remove(&conn);
     }
 
     /// Connections refused because the gate was full (flood shedding).
@@ -259,7 +242,7 @@ impl<S> Sessions<S> {
 
     /// Sessions currently open.
     pub fn live(&self) -> u64 {
-        self.gate.live()
+        self.live.len() as u64
     }
 }
 
@@ -471,24 +454,15 @@ mod tests {
     #[test]
     fn conn_gate_sheds_over_cap_and_recovers_on_release() {
         let mut g = ConnGate::new(2);
-        assert!(g.try_admit());
-        assert!(g.try_admit());
-        assert_eq!(g.live(), 2);
-        // Over the cap: refused and counted, live unchanged.
-        assert!(!g.try_admit());
-        assert!(!g.try_admit());
+        assert!(g.try_admit(0));
+        assert!(g.try_admit(1));
+        // Over the cap: refused and counted.
+        assert!(!g.try_admit(2));
+        assert!(!g.try_admit(2));
         assert_eq!(g.shed(), 2);
-        assert_eq!(g.live(), 2);
-        // A release frees a slot; the next admit succeeds again.
-        g.release();
-        assert!(g.try_admit());
-        assert_eq!(g.live(), 2);
+        // A released slot admits again, and admitting sheds nothing.
+        assert!(g.try_admit(1));
         assert_eq!(g.shed(), 2);
-        // Release never underflows.
-        g.release();
-        g.release();
-        g.release();
-        assert_eq!(g.live(), 0);
     }
 
     #[test]
@@ -512,6 +486,11 @@ mod tests {
         assert!(s.get_mut(conn(1)).is_none());
         assert!(admit(&mut s, &mut log, 4));
         assert_eq!((s.live(), s.shed()), (2, 1));
+        // Closing more often than admitting never underflows the count.
+        for n in [1, 2, 4, 4, 99] {
+            s.close(conn(n));
+        }
+        assert_eq!((s.live(), s.shed()), (0, 1));
     }
 
     #[test]

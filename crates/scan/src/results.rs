@@ -4,41 +4,147 @@
 //! a [`ScanResults`] is the per-source dataset (our ZMap scan, the Sonar
 //! index, the Shodan index) with the counting and correlation operations
 //! §3.1.3 and §4.1 perform on them.
+//!
+//! Scan responses repeat heavily (a device model answers every probe with
+//! the same banner), so a record does not own its response: it shares one
+//! immutable `Banner` per distinct (protocol, raw bytes) with every other
+//! record of its dataset that received the same bytes. The banner carries
+//! the Table 2/3 and ZTag labels, computed once when the dataset first sees
+//! the response.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
-use ofh_devices::Misconfig;
+use ofh_devices::{DeviceProfile, Misconfig};
+use ofh_net::FastMap;
 use ofh_wire::Protocol;
-use serde::{Deserialize, Serialize};
+use serde::{value, DeError, Deserialize, Serialize, Value};
 
 use crate::classify::classify_response;
+use crate::probe::normalize_response;
 use crate::ztag;
 
-/// One responsive host as recorded by a scan.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// One scan response and its labels. Immutable: the labels are a pure
+/// function of (protocol, text), set once by the constructor.
+#[derive(Debug, PartialEq, Eq)]
+struct Banner {
+    /// Normalized banner/response text (what goes into "the database").
+    text: String,
+    /// Raw response bytes as received. Honeypot fingerprinting matches
+    /// signatures against these — several Table 6 signatures are IAC byte
+    /// sequences that normalization strips.
+    raw: Arc<[u8]>,
+    /// The Table 2/3 classifier's verdict on `text`.
+    misconfig: Option<Misconfig>,
+    /// The ZTag device tagger's verdict on `text`.
+    device: Option<&'static DeviceProfile>,
+}
+
+impl Banner {
+    fn new(protocol: Protocol, text: String, raw: Arc<[u8]>) -> Banner {
+        Banner {
+            misconfig: classify_response(protocol, &text),
+            device: ztag::tag_device(protocol, &text),
+            text,
+            raw,
+        }
+    }
+}
+
+/// One responsive host as recorded by a scan: the (address, port) probed,
+/// the protocol spoken there, and the response with its labels.
+///
+/// The response is shared, not owned: records that received the same bytes
+/// over the same protocol point at one `Banner` (see
+/// [`ScanResults::record`]), so `misconfig()` and `device()` read labels
+/// computed once per distinct response and can never disagree with
+/// `response()`.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostRecord {
     pub addr: Ipv4Addr,
     pub port: u16,
     pub protocol: Protocol,
-    /// Normalized banner/response text (what goes into "the database").
-    pub response: String,
-    /// Raw response bytes as received. Honeypot fingerprinting matches
-    /// signatures against these — several Table 6 signatures are IAC byte
-    /// sequences that normalization strips.
-    #[serde(default)]
-    pub raw: Vec<u8>,
+    banner: Arc<Banner>,
 }
 
 impl HostRecord {
-    /// Apply the Table 2/3 classifier.
-    pub fn misconfig(&self) -> Option<Misconfig> {
-        classify_response(self.protocol, &self.response)
+    /// A record over a banner of its own, labelled from `response`. `raw`
+    /// is kept as given and not normalized: this is how fixtures and
+    /// imported rows state a record. A scan builds its records with
+    /// [`ScanResults::record`] instead.
+    pub fn new(
+        addr: Ipv4Addr,
+        port: u16,
+        protocol: Protocol,
+        response: impl Into<String>,
+        raw: impl Into<Arc<[u8]>>,
+    ) -> HostRecord {
+        let banner = Banner::new(protocol, response.into(), raw.into());
+        HostRecord {
+            addr,
+            port,
+            protocol,
+            banner: Arc::new(banner),
+        }
     }
 
-    /// Apply the ZTag device tagger.
-    pub fn device(&self) -> Option<&'static ofh_devices::DeviceProfile> {
-        ztag::tag_device(self.protocol, &self.response)
+    /// Normalized banner/response text (what goes into "the database").
+    pub fn response(&self) -> &str {
+        &self.banner.text
+    }
+
+    /// Raw response bytes as received.
+    pub fn raw(&self) -> &[u8] {
+        &self.banner.raw
+    }
+
+    /// The Table 2/3 classifier's verdict on the response.
+    pub fn misconfig(&self) -> Option<Misconfig> {
+        self.banner.misconfig
+    }
+
+    /// The ZTag device tagger's verdict on the response.
+    pub fn device(&self) -> Option<&'static DeviceProfile> {
+        self.banner.device
+    }
+}
+
+/// A record's JSON is `addr, port, protocol, response, raw`, in that order;
+/// the labels are not serialized, since they follow from the response.
+impl Serialize for HostRecord {
+    fn to_value(&self) -> Value {
+        let field = |name: &str, v: Value| (Value::Str(name.into()), v);
+        Value::Map(vec![
+            field("addr", self.addr.to_value()),
+            field("port", self.port.to_value()),
+            field("protocol", self.protocol.to_value()),
+            field("response", self.response().to_value()),
+            field("raw", self.raw().to_value()),
+        ])
+    }
+}
+
+/// Rebuilds the labels from the response through [`HostRecord::new`]. A
+/// missing `raw` reads as empty.
+impl Deserialize for HostRecord {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let m = v.as_map().ok_or_else(|| value::type_err("map", v, "HostRecord"))?;
+        let field = |name: &str| {
+            value::get(m, name)
+                .ok_or_else(|| DeError::custom(format!("HostRecord: missing field `{name}`")))
+        };
+        let raw = match value::get(m, "raw") {
+            Some(x) => Vec::<u8>::from_value(x)?,
+            None => Vec::new(),
+        };
+        Ok(HostRecord::new(
+            Ipv4Addr::from_value(field("addr")?)?,
+            u16::from_value(field("port")?)?,
+            Protocol::from_value(field("protocol")?)?,
+            String::from_value(field("response")?)?,
+            raw,
+        ))
     }
 }
 
@@ -49,13 +155,19 @@ pub struct ScanResults {
     pub source: String,
     /// Records keyed by (address, port) for deterministic iteration.
     pub records: BTreeMap<(Ipv4Addr, u16), HostRecord>,
+    /// The banners [`Self::record`] has built, by protocol and raw bytes.
+    /// Only looked up, never iterated, so its order cannot reach an output.
+    /// The keys are responses of simulated hosts, which the fast hasher is
+    /// meant for.
+    #[serde(skip)]
+    interned: FastMap<Protocol, FastMap<Arc<[u8]>, Arc<Banner>>>,
 }
 
 impl ScanResults {
     pub fn new(source: impl Into<String>) -> Self {
         ScanResults {
             source: source.into(),
-            records: BTreeMap::new(),
+            ..ScanResults::default()
         }
     }
 
@@ -63,11 +175,46 @@ impl ScanResults {
         self.records.insert((record.addr, record.port), record);
     }
 
+    /// Record the response `raw` that (addr, port) gave over `protocol`.
+    ///
+    /// The dataset interns responses by (protocol, raw bytes): the first
+    /// time it sees a response it normalizes it
+    /// ([`normalize_response`]), classifies it (Tables 2/3) and tags it
+    /// (ZTag) once; every later record of the same bytes over the same
+    /// protocol shares that banner, at the cost of one hash lookup. The
+    /// protocol is part of the key because the same bytes label
+    /// differently per protocol (`$ ` is an open Telnet console and
+    /// nothing over XMPP). The record equals
+    /// `HostRecord::new(addr, port, protocol, normalize_response(protocol, raw), raw)`.
+    pub fn record(&mut self, addr: Ipv4Addr, port: u16, protocol: Protocol, raw: &[u8]) {
+        let by_raw = self.interned.entry(protocol).or_default();
+        let banner = match by_raw.get(raw) {
+            Some(banner) => Arc::clone(banner),
+            None => {
+                let raw: Arc<[u8]> = raw.into();
+                let text = normalize_response(protocol, &raw);
+                let banner = Arc::new(Banner::new(protocol, text, Arc::clone(&raw)));
+                by_raw.insert(raw, Arc::clone(&banner));
+                banner
+            }
+        };
+        self.insert(HostRecord {
+            addr,
+            port,
+            protocol,
+            banner,
+        });
+    }
+
     /// Merge per-shard datasets of one source. Collecting the concatenated
     /// parts builds the map in bulk (`BTreeMap`'s `FromIterator` stable-sorts
     /// the sorted shard runs once, then builds the tree from the sorted
     /// sequence) instead of inserting record by record. The parts' key sets
     /// must be disjoint: a shard only probes the addresses it owns.
+    ///
+    /// Records keep the banners their shard interned: the merged dataset
+    /// holds one banner per distinct response *per shard*, already
+    /// labelled, and starts with an empty intern table of its own.
     pub fn merge(source: impl Into<String>, parts: impl IntoIterator<Item = ScanResults>) -> Self {
         let parts: Vec<ScanResults> = parts.into_iter().collect();
         let total: usize = parts.iter().map(ScanResults::len).sum();
@@ -76,6 +223,7 @@ impl ScanResults {
         ScanResults {
             source: source.into(),
             records,
+            ..ScanResults::default()
         }
     }
 
@@ -177,13 +325,7 @@ mod tests {
     use super::*;
 
     fn record(addr: &str, port: u16, proto: Protocol, response: &str) -> HostRecord {
-        HostRecord {
-            addr: addr.parse().unwrap(),
-            port,
-            protocol: proto,
-            response: response.into(),
-            raw: response.as_bytes().to_vec(),
-        }
+        HostRecord::new(addr.parse().unwrap(), port, proto, response, response.as_bytes())
     }
 
     #[test]

@@ -32,7 +32,7 @@ use rand::{Rng, SeedableRng};
 use crate::bitset::BitSet;
 use crate::iterator::AddressPermutation;
 use crate::probe;
-use crate::results::{HostRecord, ScanResults};
+use crate::results::ScanResults;
 
 /// What a sweep permutes over: the whole address range, or a sparse index.
 ///
@@ -567,14 +567,7 @@ impl Scanner {
         );
         // Empty buffer = responsive host with no banner: still recorded,
         // with an empty response (the port is provably open).
-        let response = probe::normalize_response(protocol, &grab.buf);
-        self.results.insert(HostRecord {
-            addr: grab.addr,
-            port: grab.port,
-            protocol,
-            response,
-            raw: grab.buf,
-        });
+        self.results.record(grab.addr, grab.port, protocol, &grab.buf);
         if close {
             ctx.tcp_close(conn);
         }
@@ -714,14 +707,7 @@ impl Agent for Scanner {
             peer.port,
             payload.len() as u32,
         );
-        let response = probe::normalize_response(protocol, payload);
-        self.results.insert(HostRecord {
-            addr: peer.addr,
-            port: peer.port,
-            protocol,
-            response,
-            raw: payload.to_vec(),
-        });
+        self.results.record(peer.addr, peer.port, protocol, payload);
     }
 }
 
@@ -793,8 +779,8 @@ mod tests {
         });
         assert_eq!(results.exposed_hosts(Protocol::Mqtt), 2);
         let open = results.records.get(&(ip(16, 4, 0, 40), 1883)).unwrap();
-        assert!(open.response.contains("MQTT Connection Code:0"));
-        assert!(open.response.contains("topic: homeassistant/light/k"));
+        assert!(open.response().contains("MQTT Connection Code:0"));
+        assert!(open.response().contains("topic: homeassistant/light/k"));
         assert_eq!(open.misconfig(), Some(Misconfig::MqttNoAuth));
         let closed = results.records.get(&(ip(16, 4, 0, 50), 1883)).unwrap();
         assert_eq!(closed.misconfig(), None);

@@ -6,7 +6,6 @@
 //! against the profile catalog.
 
 use ofh_devices::profiles::{DeviceProfile, PROFILES};
-use ofh_devices::DeviceType;
 use ofh_wire::Protocol;
 
 /// Identify the device profile a normalized response belongs to.
@@ -17,14 +16,10 @@ pub fn tag_device(protocol: Protocol, response_text: &str) -> Option<&'static De
         .find(|p| p.protocol == protocol && lower.contains(&p.identifier.to_ascii_lowercase()))
 }
 
-/// The device type, if identifiable.
-pub fn tag_device_type(protocol: Protocol, response_text: &str) -> Option<DeviceType> {
-    tag_device(protocol, response_text).map(|p| p.device_type)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ofh_devices::DeviceType;
 
     #[test]
     fn telnet_camera_banner() {
@@ -65,6 +60,6 @@ mod tests {
     #[test]
     fn unidentifiable_responses() {
         assert!(tag_device(Protocol::Telnet, "login:").is_none());
-        assert!(tag_device_type(Protocol::Upnp, "HTTP/1.1 200 OK\r\n").is_none());
+        assert!(tag_device(Protocol::Upnp, "HTTP/1.1 200 OK\r\n").is_none());
     }
 }

@@ -33,7 +33,7 @@ enum Finding {
     /// TR-069 CPE demanding credentials (exposed, configured).
     SecuredCpe,
     /// OPC UA server that completed the HEL/ACK handshake.
-    OpcUaServer(Acknowledge),
+    OpcUaServer,
 }
 
 /// A sweep agent for the two future-scope protocols, built on the same
@@ -107,7 +107,7 @@ impl Agent for FutureScanner {
                 Ok(resp) if resp.status == 401 => Some(Finding::SecuredCpe),
                 _ => None,
             },
-            ports::OPCUA => Acknowledge::decode(data).ok().map(Finding::OpcUaServer),
+            ports::OPCUA => Acknowledge::decode(data).ok().map(|_| Finding::OpcUaServer),
             _ => None,
         };
         if let Some(f) = finding {
@@ -179,7 +179,7 @@ fn main() {
                 *makes.entry(format!("{} {}", inform.manufacturer, inform.product_class)).or_insert(0) += 1;
             }
             Finding::SecuredCpe => secured += 1,
-            Finding::OpcUaServer(_) => opcua += 1,
+            Finding::OpcUaServer => opcua += 1,
         }
     }
     println!(

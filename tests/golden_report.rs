@@ -1,5 +1,5 @@
 //! Golden-file determinism: the quick preset at seed 7 renders a
-//! byte-identical report, store and trace, forever.
+//! byte-identical report, store, trace and scan export, forever.
 //!
 //! [`determinism.rs`](determinism.rs) proves runs agree with *each other*;
 //! this test pins the output against checked-in references so an
@@ -15,6 +15,10 @@
 //! digests with
 //! `openforhire study --preset quick --seed 7 --store-out s --trace-out t`
 //! and `sha256sum s t`, under the same condition.
+//!
+//! The ZMap scan export (`ScanResults::to_jsonl`, whose record serializer
+//! is written by hand) is pinned the same way: regenerate its digest with
+//! `openforhire export scan --preset quick --seed 7 | sha256sum`.
 
 use ofh_core::intel::sha256;
 use ofh_core::{Study, StudyConfig};
@@ -22,6 +26,7 @@ use openforhire_suite as _;
 
 const STORE_SHA256: &str = "da70d0875386a80288616cb3716f9d4f16a1265fce0671f1175433821c8fc7a6";
 const TRACE_SHA256: &str = "5109ad86c108832e804e5e12f1bb5f7313c2c1b31e3ffa0f63488edc09d2573e";
+const SCAN_EXPORT_SHA256: &str = "4559da51745a12c09575cb42703c092cc8ea4b1d1cc994726485948510f0d93f";
 
 fn hex(digest: [u8; 32]) -> String {
     digest.iter().map(|b| format!("{b:02x}")).collect()
@@ -57,5 +62,10 @@ fn quick_preset_seed7_matches_golden_file() {
         hex(sha256(trace.as_bytes())),
         TRACE_SHA256,
         "trace bytes moved"
+    );
+    assert_eq!(
+        hex(sha256(report.zmap_results.to_jsonl().as_bytes())),
+        SCAN_EXPORT_SHA256,
+        "scan export bytes moved"
     );
 }

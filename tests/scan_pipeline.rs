@@ -54,7 +54,7 @@ fn scan_recovers_every_device_and_classification() {
             record.protocol,
             scanned.misconfig(),
             record.misconfig,
-            scanned.response
+            scanned.response()
         );
     }
 }
