@@ -105,10 +105,13 @@ for SHARDS in 16 64; do
 done
 
 echo "==> store-smoke: query engine over the paper-smoke store + latency budget"
-# The query CLI runs against the store written above, the re-rendered
-# Tables 4, 5 and 7 must match the live study's (5 and 7 read the derived
-# `misconfig` and `src_class` columns), and a 10k-query mini workload must
-# hold a (generous) point-lookup p99 budget.
+# The query CLI runs against the store written above. Tables 4, 5 and 7
+# re-rendered from it run the live study's folds over rows decoded from the
+# store's columns (5 and 7 read the derived `misconfig` and `src_class`
+# columns), so they must match the live study's renders byte for byte; a
+# mutated store is an `error:` and exit 1 (tests/query_cli.rs, run by
+# `cargo test --workspace` above). A 10k-query mini workload must hold a
+# (generous) point-lookup p99 budget.
 ./target/release/openforhire query --store "$OBS_TMP/paper_w1.store" info >/dev/null
 for T in 4 5 7; do
     ./target/release/openforhire query --store "$OBS_TMP/paper_w1.store" table "$T" \

@@ -23,6 +23,24 @@ pub enum SourceClass {
     Unknown,
 }
 
+impl SourceClass {
+    pub const ALL: [SourceClass; 3] = [
+        SourceClass::ScanningService,
+        SourceClass::Malicious,
+        SourceClass::Unknown,
+    ];
+
+    /// The stable label of this class, as the study store's `src_class`
+    /// dictionary spells it.
+    pub const fn label(self) -> &'static str {
+        match self {
+            SourceClass::ScanningService => "scanning_service",
+            SourceClass::Malicious => "malicious",
+            SourceClass::Unknown => "unknown",
+        }
+    }
+}
+
 /// Attack types (Figs. 4 and 7 categories).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub enum AttackType {
@@ -182,11 +200,6 @@ impl AttackDataset {
             Some(s) if s.malicious || s.events > RECURRING_EVENTS => SourceClass::Malicious,
             _ => SourceClass::Unknown,
         }
-    }
-
-    /// Every (honeypot, src) pair in the dataset, ordered by (honeypot, src).
-    pub(crate) fn source_pairs(&self) -> impl Iterator<Item = (&'static str, Ipv4Addr)> + '_ {
-        self.source_summaries.keys().copied()
     }
 
     /// Whether `event` falls in a single-source or aggregate flood episode.

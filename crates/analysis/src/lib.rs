@@ -19,11 +19,13 @@
 //! | [`figures`]    | Figs. 2, 3, 4, 5, 6, 7, 8, 9 data series |
 //! | [`infected`]   | the §5.3 joins (11,118 / Censys / domains) |
 //! | [`render`]     | ASCII table/figure rendering |
+//! | [`rows`]       | the typed rows Tables 4, 5 and 7 fold, live or from a store |
 
 pub mod events;
 pub mod figures;
 pub mod infected;
 pub mod render;
+pub mod rows;
 pub mod table10;
 pub mod table12;
 pub mod table13;

@@ -1,10 +1,13 @@
 //! Table 4 — exposed systems on the Internet by protocol and source.
 
+use std::collections::BTreeSet;
+
 use ofh_scan::ScanResults;
 use ofh_wire::Protocol;
 use serde::Serialize;
 
 use crate::render::{thousands, Table};
+use crate::rows::{ScanRow, ScanSource};
 
 /// The paper's Table 4 values for side-by-side comparison.
 pub fn paper_value(protocol: Protocol, source: &str) -> Option<u64> {
@@ -47,21 +50,41 @@ pub struct Table4 {
 }
 
 impl Table4 {
+    /// [`Table4::fold`] over the three sources' datasets.
     pub fn compute(zmap: &ScanResults, sonar: &ScanResults, shodan: &ScanResults) -> Table4 {
-        // One walk per source; a protocol a source never saw counts 0.
-        let counts = |source: &ScanResults| {
-            let by_protocol = source.exposed_hosts_by_protocol();
-            move |p: Protocol| by_protocol.get(&p).copied().unwrap_or(0) as u64
-        };
-        let (zmap, sonar, shodan) = (counts(zmap), counts(sonar), counts(shodan));
+        let none = BTreeSet::new();
+        let sources = ScanSource::ALL.into_iter().zip([zmap, sonar, shodan]);
+        Table4::fold(sources.flat_map(|(source, results)| ScanRow::of(source, results, &none)))
+    }
+
+    /// Unique responsive hosts per (source, protocol): a host counts once
+    /// even if seen on two ports, e.g. Telnet 23+2323. One walk: the rows
+    /// come in (source, addr) order, so one host's rows are adjacent and
+    /// each (source, addr, protocol) is counted the first time it shows.
+    pub fn fold(rows: impl IntoIterator<Item = ScanRow>) -> Table4 {
+        // Indexed by discriminant; each `ALL` holds every variant.
+        let mut counts = [[0u64; Protocol::ALL.len()]; ScanSource::ALL.len()];
+        let mut host = None;
+        let mut seen: Vec<Protocol> = Vec::new();
+        for r in rows {
+            if host != Some((r.source, r.addr)) {
+                host = Some((r.source, r.addr));
+                seen.clear();
+            }
+            if !seen.contains(&r.protocol) {
+                seen.push(r.protocol);
+                counts[r.source as usize][r.protocol as usize] += 1;
+            }
+        }
+        let count = |source: ScanSource, p: Protocol| counts[source as usize][p as usize];
         // Table 4 is ordered ascending by the ZMap column.
         let mut rows: Vec<Table4Row> = Protocol::SCANNED
             .iter()
             .map(|&p| Table4Row {
                 protocol: p,
-                zmap: zmap(p),
-                sonar: ofh_scan::datasets::sonar_coverage(p).map(|_| sonar(p)),
-                shodan: shodan(p),
+                zmap: count(ScanSource::ZMap, p),
+                sonar: ofh_scan::datasets::sonar_coverage(p).map(|_| count(ScanSource::Sonar, p)),
+                shodan: count(ScanSource::Shodan, p),
             })
             .collect();
         rows.sort_by_key(|r| r.zmap);
@@ -127,10 +150,13 @@ mod tests {
 
     #[test]
     fn computes_and_orders_rows() {
-        let zmap = results(
+        let mut zmap = results(
             "ZMap Scan",
             &[(Protocol::Telnet, 70), (Protocol::Mqtt, 48), (Protocol::Amqp, 3)],
         );
+        // A host seen on a second Telnet port counts once.
+        let first = zmap.records.values().next().unwrap().addr;
+        zmap.insert(HostRecord::new(first, 2323, Protocol::Telnet, "x", Vec::new()));
         let sonar = results("Project Sonar", &[(Protocol::Telnet, 60)]);
         let shodan = results("Shodan", &[(Protocol::Telnet, 2)]);
         let t4 = Table4::compute(&zmap, &sonar, &shodan);

@@ -9,6 +9,7 @@ use ofh_scan::ScanResults;
 use serde::Serialize;
 
 use crate::render::{thousands, Table};
+use crate::rows::{ScanRow, ScanSource};
 
 /// One Table 5 row.
 #[derive(Debug, Clone, Serialize)]
@@ -27,18 +28,27 @@ pub struct Table5 {
 }
 
 impl Table5 {
-    /// Classify `results`, skipping `honeypot_filter` addresses (the §4.2
-    /// sanitization step). One pass, one classification per record.
+    /// [`Table5::fold`] over the ZMap scan `results`, skipping
+    /// `honeypot_filter` addresses (the §4.2 sanitization step).
     pub fn compute(results: &ScanResults, honeypot_filter: &BTreeSet<Ipv4Addr>) -> Table5 {
+        Table5::fold(ScanRow::of(ScanSource::ZMap, results, honeypot_filter))
+    }
+
+    /// Unique misconfigured ZMap hosts per class, honeypot-filtered rows
+    /// left out. One pass, reading each row's class.
+    pub fn fold(rows: impl IntoIterator<Item = ScanRow>) -> Table5 {
         let mut per_class: BTreeMap<Misconfig, BTreeSet<Ipv4Addr>> = BTreeMap::new();
         let mut any: BTreeSet<Ipv4Addr> = BTreeSet::new();
         let mut honeypots_filtered = 0usize;
-        for r in results.records.values() {
-            if honeypot_filter.contains(&r.addr) {
+        for r in rows {
+            if r.source != ScanSource::ZMap {
+                continue;
+            }
+            if r.hp_filtered {
                 honeypots_filtered += 1;
                 continue;
             }
-            if let Some(class) = r.misconfig() {
+            if let Some(class) = r.misconfig {
                 per_class.entry(class).or_default().insert(r.addr);
                 any.insert(r.addr);
             }

@@ -2,6 +2,7 @@
 //! unique-source classification.
 
 use std::collections::BTreeMap;
+use std::net::Ipv4Addr;
 
 use ofh_honeypots::HoneypotKind;
 use ofh_intel::ReverseDns;
@@ -10,6 +11,7 @@ use serde::Serialize;
 
 use crate::events::{AttackDataset, SourceClass};
 use crate::render::{thousands, Table};
+use crate::rows::EventRow;
 
 /// Per-(honeypot, protocol) event counts.
 #[derive(Debug, Clone, Serialize)]
@@ -37,24 +39,27 @@ pub struct Table7 {
 }
 
 impl Table7 {
+    /// [`Table7::fold`] over the dataset's events.
     pub fn compute(dataset: &AttackDataset, rdns: &ReverseDns) -> Table7 {
-        let mut counts: BTreeMap<(&'static str, Protocol), u64> = BTreeMap::new();
-        for e in &dataset.events {
-            *counts.entry((e.honeypot, e.protocol)).or_insert(0) += 1;
+        Table7::fold(EventRow::of(dataset, rdns))
+    }
+
+    /// Events per (honeypot, protocol), and each honeypot's unique sources
+    /// split by class. One pass; a pair's class is the same on each of its
+    /// rows, so its first row decides it.
+    pub fn fold(rows: impl IntoIterator<Item = EventRow>) -> Table7 {
+        let mut counts: BTreeMap<(HoneypotKind, Protocol), u64> = BTreeMap::new();
+        let mut classes: BTreeMap<(HoneypotKind, Ipv4Addr), SourceClass> = BTreeMap::new();
+        for r in rows {
+            *counts.entry((r.honeypot, r.protocol)).or_insert(0) += 1;
+            classes.entry((r.honeypot, r.src)).or_insert(r.src_class);
         }
-        let rows: Vec<Table7Row> = HoneypotKind::ALL
-            .iter()
-            .flat_map(|hp| {
-                let name = hp.name();
-                counts
-                    .iter()
-                    .filter(move |((h, _), _)| *h == name)
-                    .map(|(&(h, p), &n)| Table7Row {
-                        honeypot: h,
-                        protocol: p,
-                        events: n,
-                    })
-                    .collect::<Vec<_>>()
+        let rows: Vec<Table7Row> = counts
+            .into_iter()
+            .map(|((hp, protocol), events)| Table7Row {
+                honeypot: hp.name(),
+                protocol,
+                events,
             })
             .collect();
         let mut sources: Vec<Table7Sources> = HoneypotKind::ALL
@@ -66,11 +71,11 @@ impl Table7 {
                 unknown: 0,
             })
             .collect();
-        for (hp, src) in dataset.source_pairs() {
-            let Some(out) = sources.iter_mut().find(|s| s.honeypot == hp) else {
+        for (&(hp, _), class) in &classes {
+            let Some(out) = sources.iter_mut().find(|s| s.honeypot == hp.name()) else {
                 continue;
             };
-            match dataset.classify_source(rdns, hp, src) {
+            match class {
                 SourceClass::ScanningService => out.scanning += 1,
                 SourceClass::Malicious => out.malicious += 1,
                 SourceClass::Unknown => out.unknown += 1,
@@ -152,7 +157,6 @@ mod tests {
     use crate::events::register_service_rdns;
     use ofh_honeypots::{AttackEvent, EventKind};
     use ofh_net::SimTime;
-    use std::net::Ipv4Addr;
 
     fn ev(src: u32, honeypot: &'static str, proto: Protocol, kind: EventKind) -> AttackEvent {
         AttackEvent {

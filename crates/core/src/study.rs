@@ -31,6 +31,7 @@ use std::sync::Arc;
 use ofh_analysis::events::AttackDataset;
 use ofh_analysis::figures::{AttackTypeBreakdown, Fig2, Fig3, Fig5, Fig6, Fig8, Fig9};
 use ofh_analysis::infected::InfectedHosts;
+use ofh_analysis::rows::ScanSource;
 use ofh_analysis::table10::Table10;
 use ofh_analysis::table12::Table12;
 use ofh_analysis::table13::Table13;
@@ -527,9 +528,9 @@ impl Study {
             simulate_node.push_child(out.profile);
         }
         // Shard parts are sorted runs in shard order: one bulk pass each.
-        let zmap_results = ScanResults::merge("ZMap Scan", zmap_parts);
-        let sonar_results = ScanResults::merge("Project Sonar", sonar_parts);
-        let shodan_results = ScanResults::merge("Shodan", shodan_parts);
+        let zmap_results = ScanResults::merge(ScanSource::ZMap.label(), zmap_parts);
+        let sonar_results = ScanResults::merge(ScanSource::Sonar.label(), sonar_parts);
+        let shodan_results = ScanResults::merge(ScanSource::Shodan.label(), shodan_parts);
         let telescope = Telescope::merge(telescope_parts);
         // The merge dropped the last tap, and with it the last shared handle.
         let geo = Arc::try_unwrap(geo).expect("a telescope tap outlived the merge");
@@ -800,7 +801,7 @@ fn run_shard(inputs: &ShardInputs<'_>, spec: ShardSpec) -> ShardOutput {
         .expect("six sweeps");
     let zmap_id = net.attach(
         Ipv4Addr::from(scanner_base),
-        Box::new(Scanner::new("ZMap Scan", zmap_cfgs)),
+        Box::new(Scanner::new(ScanSource::ZMap.label(), zmap_cfgs)),
     );
     let shard_cfgs = |mut cfgs: Vec<ScannerConfig>| {
         for c in &mut cfgs {
@@ -812,7 +813,7 @@ fn run_shard(inputs: &ShardInputs<'_>, spec: ShardSpec) -> ShardOutput {
         cfgs
     };
     let sonar = Scanner::new(
-        "Project Sonar",
+        ScanSource::Sonar.label(),
         shard_cfgs(datasets::sonar_configs(
             universe.cidr().first(),
             universe.size(),
@@ -821,7 +822,7 @@ fn run_shard(inputs: &ShardInputs<'_>, spec: ShardSpec) -> ShardOutput {
         )),
     );
     let shodan = Scanner::new(
-        "Shodan",
+        ScanSource::Shodan.label(),
         shard_cfgs(datasets::shodan_configs(
             universe.cidr().first(),
             universe.size(),

@@ -241,26 +241,6 @@ impl ScanResults {
         self.unique_addrs(protocol).len()
     }
 
-    /// [`Self::exposed_hosts`] for every protocol in one walk. Records are
-    /// keyed by (address, port), so one host's records are adjacent and
-    /// each (address, protocol) pair is counted the first time it shows.
-    pub fn exposed_hosts_by_protocol(&self) -> BTreeMap<Protocol, usize> {
-        let mut counts = BTreeMap::new();
-        let mut host = None;
-        let mut seen: Vec<Protocol> = Vec::new();
-        for r in self.records.values() {
-            if host != Some(r.addr) {
-                host = Some(r.addr);
-                seen.clear();
-            }
-            if !seen.contains(&r.protocol) {
-                seen.push(r.protocol);
-                *counts.entry(r.protocol).or_insert(0) += 1;
-            }
-        }
-        counts
-    }
-
     /// The set of unique addresses responsive on a protocol.
     pub fn unique_addrs(&self, protocol: Protocol) -> BTreeSet<Ipv4Addr> {
         self.records
@@ -337,10 +317,7 @@ mod tests {
         rs.insert(record("10.0.0.2", 1883, Protocol::Mqtt, "MQTT Connection Code:0"));
         assert_eq!(rs.len(), 4);
         assert_eq!(rs.exposed_hosts(Protocol::Telnet), 2);
-        let by_protocol = rs.exposed_hosts_by_protocol();
-        assert_eq!(by_protocol[&Protocol::Telnet], 2);
-        assert_eq!(by_protocol[&Protocol::Mqtt], 1);
-        assert_eq!(by_protocol.len(), 2);
+        assert_eq!(rs.exposed_hosts(Protocol::Mqtt), 1);
     }
 
     #[test]

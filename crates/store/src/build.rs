@@ -13,7 +13,7 @@
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
-use ofh_analysis::events::{AttackDataset, SourceClass};
+use ofh_analysis::events::AttackDataset;
 use ofh_devices::Misconfig;
 use ofh_intel::{GeoDb, ReverseDns};
 use ofh_scan::ScanResults;
@@ -29,15 +29,6 @@ use crate::segment::{SegmentWriter, TableBuilder};
 /// Label used in dictionary columns for "no value" (no misconfiguration,
 /// no device tag, no studied protocol on this port).
 pub const NONE_LABEL: &str = "-";
-
-/// The stable label of a source classification.
-pub const fn source_class_label(c: SourceClass) -> &'static str {
-    match c {
-        SourceClass::ScanningService => "scanning_service",
-        SourceClass::Malicious => "malicious",
-        SourceClass::Unknown => "unknown",
-    }
-}
 
 /// Everything the store serializes, borrowed from the finished study.
 pub struct StoreInput<'a> {
@@ -144,9 +135,7 @@ fn build_events_table(input: &StoreInput<'_>) -> Vec<u8> {
         src_ports.push(e.src_port);
         kind.push(e.kind.name());
         attack_type.push(dataset.attack_type(e).name());
-        src_class.push(source_class_label(
-            dataset.classify_source(input.rdns, e.honeypot, e.src),
-        ));
+        src_class.push(dataset.classify_source(input.rdns, e.honeypot, e.src).label());
         country.push(input.geo.country_of(e.src).code());
         asns.push(asn_plus1(input.geo.asn_of(e.src)));
     }

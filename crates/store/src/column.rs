@@ -15,7 +15,9 @@
 //! restart offsets double as the random-access index into the varint
 //! stream. Encoders append to a [`Writer`]; decoders are thin views over
 //! the mapped file that copy only metadata (dictionaries, block
-//! directories) at open time — row data is always read in place.
+//! directories) at open time — row data is always read in place. The one
+//! row-data pass at open checks each `DICT8` code against its dictionary,
+//! so a corrupt code is a [`FormatError`] there, not a panic in a query.
 
 use crate::bytes::{u16_at, u32_at, u64_at, FormatError, Reader, Result, Writer};
 
@@ -281,12 +283,20 @@ pub struct DictView {
 }
 
 impl DictView {
+    /// Parse the dictionary and check every row's code against it, so a
+    /// label read never indexes past the dictionary.
     pub fn parse(file: &[u8], off: usize, len: usize, rows: usize) -> Result<DictView> {
         let mut r = Reader::at(file, off);
         let n = r.u16()? as usize;
+        if n > 256 {
+            return Err(FormatError(format!("DICT8 has {n} labels for one-byte codes")));
+        }
         let labels: Vec<String> = (0..n).map(|_| r.string()).collect::<Result<_>>()?;
         let codes_off = r.pos;
-        r.slice(rows)?;
+        let codes = r.slice(rows)?;
+        if let Some(max) = codes.iter().copied().max().filter(|&max| usize::from(max) >= n) {
+            return Err(FormatError(format!("DICT8 code {max} past its {n} labels")));
+        }
         let bitmaps_off = r.pos;
         r.slice(n * words_for(rows) * 8)?;
         if r.pos > off + len {
@@ -511,6 +521,19 @@ mod tests {
         assert_eq!(v.count(&w.buf, v.code_of("tcp").unwrap()), 3);
         assert_eq!(v.count(&w.buf, v.code_of("udp").unwrap()), 2);
         assert_eq!(v.code_of("gre"), None);
+    }
+
+    #[test]
+    fn dict_rejects_more_labels_than_codes() {
+        // 257 labels cannot all have a one-byte code.
+        let mut w = Writer::new();
+        w.u16(257);
+        for i in 0..257 {
+            w.string(&i.to_string());
+        }
+        w.bytes(&[0]);
+        let err = DictView::parse(&w.buf, 0, w.buf.len(), 1).unwrap_err();
+        assert!(err.0.contains("257 labels"), "{err}");
     }
 
     #[test]

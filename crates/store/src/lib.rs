@@ -14,7 +14,10 @@
 //! predicate pushdown — bitmap AND + popcount for label predicates, zone
 //! maps for point lookups, restart-block skipping for time ranges —
 //! without materializing rows. [`QueryEngine`] shares one reader across
-//! threads behind an `Arc` and adds a small LRU answer cache.
+//! threads behind an `Arc` and adds a small LRU answer cache. Reading
+//! fails closed: a dictionary code past its dictionary fails the open, and
+//! a label outside its enum fails the table decoders, with a
+//! [`FormatError`] either way.
 //!
 //! Module map:
 //! - [`bytes`] — little-endian + LEB128 primitives
@@ -23,7 +26,8 @@
 //! - [`segment`] — file layout: TOC, tables, column directories
 //! - [`build`] — study artifacts → segment bytes
 //! - [`query`] — [`StoreReader`], [`Query`], [`QueryEngine`]
-//! - [`tables`] — Tables 4/5/7 re-derived from columns
+//! - [`tables`] — the rows of Tables 4/5/7, decoded from columns for the
+//!   `ofh_analysis` folds that compute those tables live too
 
 pub mod build;
 pub mod bytes;

@@ -2,7 +2,8 @@
 //!
 //! [`StoreReader`] opens a segment file through one shared read-only
 //! mapping and parses the metadata (TOC, dictionaries, zone maps, restart
-//! directories) once; it is `Send + Sync`, so an `Arc<StoreReader>` fans
+//! directories) once, checking every dictionary code against its
+//! dictionary; it is `Send + Sync`, so an `Arc<StoreReader>` fans
 //! out across any number of query threads with zero per-thread state and
 //! zero row copies — predicates run directly against the mapped bytes.
 //!

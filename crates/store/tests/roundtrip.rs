@@ -1,7 +1,8 @@
 //! Property tests: every column codec must round-trip arbitrary inputs
 //! through a full segment (encode → TableBuilder → SegmentWriter → parse),
-//! and the indexed access paths (zone maps, bitmaps, T64 block directory)
-//! must agree with a naive linear scan over the same data.
+//! the indexed access paths (zone maps, bitmaps, T64 block directory)
+//! must agree with a naive linear scan over the same data, and a corrupt
+//! dictionary code must fail the parse.
 //!
 //! The end-to-end variant — store-derived study tables equal to the
 //! in-memory `StudyReport` ones across random seeds — lives in the
@@ -16,17 +17,22 @@ use ofh_store::column::{
 use ofh_store::segment::{SegmentView, SegmentWriter, TableBuilder, TableView};
 use proptest::prelude::*;
 
-/// Build a one-table segment with the given encoded columns and parse it
-/// back — every test goes through the same full file path a real store
-/// does, so header/offset bugs can't hide.
-fn roundtrip(rows: usize, columns: Vec<(&str, u8, Writer)>) -> (Vec<u8>, TableView) {
+/// A one-table segment holding the given encoded columns.
+fn segment(rows: usize, columns: Vec<(&str, u8, Writer)>) -> Vec<u8> {
     let mut table = TableBuilder::new(rows);
     for (name, kind, payload) in columns {
         table.column(name, kind, payload);
     }
     let mut seg = SegmentWriter::new();
     seg.table("t", table.finish());
-    let file = seg.finish();
+    seg.finish()
+}
+
+/// Build a one-table segment with the given encoded columns and parse it
+/// back — every test goes through the same full file path a real store
+/// does, so header/offset bugs can't hide.
+fn roundtrip(rows: usize, columns: Vec<(&str, u8, Writer)>) -> (Vec<u8>, TableView) {
+    let file = segment(rows, columns);
     let view = SegmentView::parse(&file).expect("segment parses");
     let table = view.tables.get("t").expect("table present").clone();
     (file, table)
@@ -71,6 +77,7 @@ proptest! {
     #[test]
     fn dict_roundtrip_and_bitmap_counts(
         codes in prop::collection::vec(0usize..12, 1..3000),
+        corrupt in (any::<prop::sample::Index>(), any::<u8>()),
     ) {
         // Labels drawn from a fixed small alphabet, so bitmap counts are
         // non-trivial; first-appearance order decides the code assignment.
@@ -85,6 +92,7 @@ proptest! {
         }
         let mut w = Writer::new();
         d.encode(&mut w);
+        let mut bad = Writer { buf: w.buf.clone() };
         let (file, t) = roundtrip(labels.len(), vec![("v", KIND_DICT8, w)]);
         let v = t.dict("v").unwrap();
         for (i, &l) in labels.iter().enumerate() {
@@ -100,6 +108,17 @@ proptest! {
             }
         }
         prop_assert_eq!(v.code_of("never-stored"), None);
+
+        // A row code at or past the dictionary's length fails the parse,
+        // before any read could index past the dictionary. The payload is
+        // the label count, the labels (each a one-byte length and its
+        // bytes), then one code per row.
+        let n = v.labels.len();
+        let codes_at = 2 + v.labels.iter().map(|l| 1 + l.len()).sum::<usize>();
+        let row = corrupt.0.index(labels.len());
+        bad.buf[codes_at + row] = (n + usize::from(corrupt.1) % (256 - n)) as u8;
+        let file = segment(labels.len(), vec![("v", KIND_DICT8, bad)]);
+        prop_assert!(SegmentView::parse(&file).is_err());
     }
 
     #[test]

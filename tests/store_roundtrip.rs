@@ -1,15 +1,17 @@
 //! Store round-trip property: the columnar store is a lossless carrier of
-//! the study's published aggregates. For random seeds, Tables 4, 5 and 7
-//! recomputed *from the store file* must render byte-identically to the
-//! in-memory `StudyReport` ones, and indexed counts must agree with direct
-//! tallies over the in-memory artifacts.
+//! the study's published aggregates. For random seeds, the rows Tables 4,
+//! 5 and 7 fold must decode from the store file equal to the ones the live
+//! study yields, the tables recomputed *from the store file* must render
+//! byte-identically to the in-memory `StudyReport` ones, and indexed counts
+//! must agree with direct tallies over the in-memory artifacts.
 //!
 //! (Column-codec round-trip properties live in
 //! `crates/store/tests/roundtrip.rs`; this file covers the end the paper
 //! cares about — the aggregates.)
 
+use ofh_analysis::rows::{EventRow, ScanRow, ScanSource};
 use ofh_core::{Study, StudyConfig, StudyReport};
-use ofh_store::{Answer, Query, StoreReader};
+use ofh_store::{tables, Answer, Query, StoreReader};
 
 fn run_quick(seed: u64) -> (StudyReport, StoreReader) {
     let report = Study::new(StudyConfig::quick(seed)).run();
@@ -31,12 +33,48 @@ fn count(reader: &StoreReader, q: Query) -> u64 {
     }
 }
 
+/// Equal row streams, reporting the first row that differs.
+fn assert_same_rows<T: PartialEq + std::fmt::Debug>(
+    what: &str,
+    seed: u64,
+    stored: &[T],
+    live: &[T],
+) {
+    if let Some(i) = (0..stored.len().max(live.len())).find(|&i| stored.get(i) != live.get(i)) {
+        panic!(
+            "{what} row {i} diverged at seed {seed}: stored {:?}, live {:?}",
+            stored.get(i),
+            live.get(i)
+        );
+    }
+}
+
 /// The property, over a handful of deterministic seeds (a full quick study
 /// per seed keeps the case count modest).
 #[test]
 fn store_tables_match_report_across_seeds() {
     for seed in [7u64, 11, 42, 1337, 0xDEAD] {
         let (report, reader) = run_quick(seed);
+
+        // The rows the store decodes are the live study's rows, in order.
+        let filter = report.fingerprint.filter_set();
+        let sources = [&report.zmap_results, &report.sonar_results, &report.shodan_results];
+        let live_scan: Vec<ScanRow> = ScanSource::ALL
+            .into_iter()
+            .zip(sources)
+            .flat_map(|(source, results)| ScanRow::of(source, results, &filter))
+            .collect();
+        for source in ScanSource::ALL {
+            assert!(live_scan.iter().any(|r| r.source == source), "no {source:?} rows");
+        }
+        let stored_scan: Vec<ScanRow> = tables::scan_rows(&reader).expect("scan rows").collect();
+        assert_same_rows("scan", seed, &stored_scan, &live_scan);
+        let live_events: Vec<EventRow> = EventRow::of(&report.dataset, &report.rdns).collect();
+        assert!(!live_events.is_empty());
+        let stored_events: Vec<EventRow> =
+            tables::event_rows(&reader).expect("event rows").collect();
+        assert_same_rows("event", seed, &stored_events, &live_events);
+
         assert_eq!(
             rendered(&reader, Query::Table(4)),
             report.table4.render(),
