@@ -146,8 +146,9 @@ fn single_vs_multi_port(c: &mut Criterion) {
             seed,
         );
         cfg.ports = ports;
-        let end = Scanner::estimated_end(&cfg);
-        let id = net.attach(universe.scanner_addr(), Box::new(Scanner::new("bench", vec![cfg])));
+        let scanner = Scanner::new("bench", vec![cfg]);
+        let end = scanner.estimated_end();
+        let id = net.attach(universe.scanner_addr(), Box::new(scanner));
         net.run_until(end);
         net.agent_downcast::<Scanner>(id).unwrap().results.exposed_hosts(Protocol::Telnet)
     };

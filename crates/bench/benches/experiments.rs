@@ -37,8 +37,9 @@ fn scan_sweep(seed: u64) -> ofh_scan::ScanResults {
         scan_start(Protocol::Telnet),
         seed,
     );
-    let end = Scanner::estimated_end(&cfg);
-    let id = net.attach(universe.scanner_addr(), Box::new(Scanner::new("ZMap Scan", vec![cfg])));
+    let scanner = Scanner::new("ZMap Scan", vec![cfg]);
+    let end = scanner.estimated_end();
+    let id = net.attach(universe.scanner_addr(), Box::new(scanner));
     net.run_until(end);
     net.agent_downcast_mut::<Scanner>(id).unwrap().results.clone()
 }

@@ -215,8 +215,9 @@ impl HostSpawner for ShardSpawner {
 ///
 /// The global index is partitioned by shard ownership up front (one hash
 /// per offset, once), so each shard's scanner replicas permute an
-/// O(index / shards) domain of exclusively-owned targets. The in-sweep
-/// `ShardSpec::owns` filter still runs — it is what keeps the dense-range
+/// O(index / shards) domain of exclusively-owned targets. Each scanner
+/// walks each distinct permutation of its sub-index once; the ownership
+/// filter in that walk still runs — it is what keeps the dense-range
 /// presets correct — it just never rejects an indexed target anymore.
 fn build_scan_index(
     cfg: &StudyConfig,
@@ -775,7 +776,9 @@ fn run_shard(inputs: &ShardInputs<'_>, spec: ShardSpec) -> ShardOutput {
     }
 
     // Scanners (ours + the dataset providers): every shard runs a replica
-    // that walks the full permutation but probes only its owned addresses.
+    // that probes only its owned addresses. Each replica walks each of its
+    // distinct permutations once, keeping the owned targets in order, and
+    // its sweeps that share a seed share that walk.
     let scanner_base = u32::from(universe.scanner_addr());
     let zmap_cfgs: Vec<ScannerConfig> = ofh_wire::Protocol::SCANNED
         .iter()
@@ -794,15 +797,9 @@ fn run_shard(inputs: &ShardInputs<'_>, spec: ShardSpec) -> ShardOutput {
             c
         })
         .collect();
-    let scan_end = zmap_cfgs
-        .iter()
-        .map(Scanner::estimated_end)
-        .max()
-        .expect("six sweeps");
-    let zmap_id = net.attach(
-        Ipv4Addr::from(scanner_base),
-        Box::new(Scanner::new(ScanSource::ZMap.label(), zmap_cfgs)),
-    );
+    let zmap = Scanner::new(ScanSource::ZMap.label(), zmap_cfgs);
+    let scan_end = zmap.estimated_end();
+    let zmap_id = net.attach(Ipv4Addr::from(scanner_base), Box::new(zmap));
     let shard_cfgs = |mut cfgs: Vec<ScannerConfig>| {
         for c in &mut cfgs {
             c.shard = spec;

@@ -26,8 +26,9 @@
 //! neighbouring addresses across shards, so load stays balanced at every
 //! supported count. Power-of-two counts make ownership a mask of hash bits:
 //! the partition at count 2^k refines the partition at 2^(k-1) (each shard
-//! splits in two), and `owns` costs one hash + one AND on the hot paths that
-//! filter full permutation walks.
+//! splits in two), and `owns` costs one hash + one AND where a scanner
+//! filters a permutation walk (once per distinct permutation per shard,
+//! when the scanner is built).
 
 use std::net::Ipv4Addr;
 

@@ -69,6 +69,16 @@ impl TargetSpace {
         }
     }
 
+    /// Whether two spaces are one permutation domain: both the dense range,
+    /// or the same shared index (compared by pointer, not by content).
+    fn same_domain(&self, other: &TargetSpace) -> bool {
+        match (self, other) {
+            (TargetSpace::Range, TargetSpace::Range) => true,
+            (TargetSpace::Index(a), TargetSpace::Index(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
     /// Address offset at permutation position `pos`, if in domain.
     #[inline]
     fn offset_at(&self, pos: u64) -> Option<u32> {
@@ -112,9 +122,10 @@ pub struct ScannerConfig {
     pub sample_rate: f64,
     /// Permutation seed.
     pub seed: u64,
-    /// Which slice of the address space this sweep probes. The sweep walks
-    /// the full permutation but only issues probes for addresses the shard
-    /// owns; `ShardSpec::WHOLE` (the default) probes everything.
+    /// Which slice of the address space this sweep probes. The scanner
+    /// walks the permutation once per distinct (seed, base, size, shard,
+    /// targets) and keeps only the addresses the shard owns, in permutation
+    /// order; `ShardSpec::WHOLE` (the default) probes everything.
     pub shard: ShardSpec,
     /// The permutation domain: dense range or sparse index (paper scale).
     pub targets: TargetSpace,
@@ -197,27 +208,37 @@ impl ScannerConfig {
         }
     }
 
-    /// Addresses this sweep will actually consider probing — the shard's
-    /// share of the target domain. O(domain) when sharded (one hash per
-    /// candidate); used once per sweep to bound the schedule.
-    pub fn target_count(&self) -> u64 {
-        match &self.targets {
-            TargetSpace::Range => self.shard.owned_in(self.base, self.size),
-            TargetSpace::Index(ix) => {
-                let base = u32::from(self.base);
-                ix.iter()
-                    .filter(|&&rel| {
-                        self.shard.owns(Ipv4Addr::from(base.wrapping_add(rel)))
-                    })
-                    .count() as u64
-            }
-        }
+    /// Whether `other` walks the same owned targets in the same order: the
+    /// same permutation (seed and domain) filtered by the same shard.
+    fn walks_like(&self, other: &ScannerConfig) -> bool {
+        self.seed == other.seed
+            && self.base == other.base
+            && self.size == other.size
+            && self.shard == other.shard
+            && self.targets.same_domain(&other.targets)
+    }
+
+    /// The offsets (from `base`) of the targets the shard owns, in
+    /// permutation order: one permutation step and one ownership hash per
+    /// domain position.
+    fn owned_walk(&self) -> Arc<[u32]> {
+        let base = u32::from(self.base);
+        // An empty index still builds a 1-element permutation whose sole
+        // position falls outside the domain and is skipped.
+        AddressPermutation::new(self.targets.domain(self.size).max(1), self.seed)
+            .filter_map(|pos| self.targets.offset_at(pos))
+            .filter(|&rel| self.shard.owns(Ipv4Addr::from(base.wrapping_add(rel))))
+            .collect()
     }
 }
 
 struct Sweep {
     cfg: ScannerConfig,
-    perm: AddressPermutation,
+    /// The shard's owned target offsets in permutation order, shared with
+    /// every other sweep of the scanner that [walks like](ScannerConfig::walks_like) it.
+    walk: Arc<[u32]>,
+    /// Position of the next target in `walk`.
+    cursor: usize,
     /// Pending ports for the current address (probed one per slot).
     pending_ports: Vec<(Ipv4Addr, u16)>,
     exhausted: bool,
@@ -303,18 +324,23 @@ impl Scanner {
     pub fn new(source: impl Into<String>, configs: Vec<ScannerConfig>) -> Scanner {
         let seed = configs.first().map(|c| c.seed).unwrap_or(0);
         let active = configs.len();
-        let sweeps: Vec<Sweep> = configs
-            .into_iter()
-            .map(|cfg| Sweep {
-                // An empty index still builds a 1-element permutation whose
-                // sole position falls outside the domain and is skipped.
-                perm: AddressPermutation::new(cfg.targets.domain(cfg.size).max(1), cfg.seed),
+        // Sweeps that share a permutation and a shard (a provider's
+        // protocols, sweeping one domain with one seed) share its walk.
+        let mut sweeps: Vec<Sweep> = Vec::with_capacity(configs.len());
+        for cfg in configs {
+            let walk = match sweeps.iter().find(|s| s.cfg.walks_like(&cfg)) {
+                Some(twin) => Arc::clone(&twin.walk),
+                None => cfg.owned_walk(),
+            };
+            sweeps.push(Sweep {
                 cfg,
+                walk,
+                cursor: 0,
                 pending_ports: Vec::new(),
                 exhausted: false,
                 probes_sent: 0,
-            })
-            .collect();
+            });
+        }
         let udp_track = Self::build_udp_tracker(&sweeps);
         Scanner {
             results: ScanResults::new(source),
@@ -408,14 +434,21 @@ impl Scanner {
         self.sweeps.iter().map(|s| s.probes_sent).sum()
     }
 
-    /// Conservatively estimate when a sweep's probing finishes. Sharded
-    /// sweeps issue probes only for their owned addresses, so the schedule
-    /// shrinks proportionally (the exact owned count is used, keeping the
-    /// bound safe for uneven hash splits).
-    pub fn estimated_end(cfg: &ScannerConfig) -> SimTime {
-        let probes = cfg.target_count() * cfg.ports.len() as u64;
-        let ticks = probes / cfg.batch as u64 + 2;
-        cfg.start_at + cfg.tick.mul(ticks) + cfg.grab_window + SimDuration::from_secs(10)
+    /// Conservatively estimate when the last sweep's probing finishes.
+    /// Sharded sweeps issue probes only for their owned addresses, so the
+    /// schedule shrinks proportionally (the walk's exact length is used,
+    /// keeping the bound safe for uneven hash splits).
+    pub fn estimated_end(&self) -> SimTime {
+        self.sweeps
+            .iter()
+            .map(|s| {
+                let cfg = &s.cfg;
+                let probes = s.walk.len() as u64 * cfg.ports.len() as u64;
+                let ticks = probes / cfg.batch as u64 + 2;
+                cfg.start_at + cfg.tick.mul(ticks) + cfg.grab_window + SimDuration::from_secs(10)
+            })
+            .max()
+            .unwrap_or(SimTime::ZERO)
     }
 
     fn next_target(&mut self, sweep_idx: usize) -> Option<(Ipv4Addr, u16)> {
@@ -424,17 +457,12 @@ impl Scanner {
             if let Some(t) = sweep.pending_ports.pop() {
                 return Some(t);
             }
-            let pos = sweep.perm.next()?;
-            let Some(rel) = sweep.cfg.targets.offset_at(pos) else {
-                continue;
-            };
+            // The walk holds owned targets only, so the sampling RNG is
+            // consulted for owned addresses alone and each shard's draw
+            // sequence is a pure function of its own targets.
+            let rel = *sweep.walk.get(sweep.cursor)?;
+            sweep.cursor += 1;
             let addr = Ipv4Addr::from(u32::from(sweep.cfg.base).wrapping_add(rel));
-            // Shard filter first: the sampling RNG must only be consulted
-            // for owned addresses, so each shard's draw sequence is a pure
-            // function of its own targets.
-            if !sweep.cfg.shard.owns(addr) {
-                continue;
-            }
             if sweep.cfg.blocklist.contains(addr) {
                 continue;
             }
@@ -729,8 +757,9 @@ mod tests {
             batch: 64,
             ..ScannerConfig::full(protocol, ip(16, 4, 0, 0), 256, SimTime::ZERO, 1)
         };
-        let end = Scanner::estimated_end(&cfg);
-        let sid = net.attach(ip(16, 3, 0, 1), Box::new(Scanner::new("ZMap Scan", vec![cfg])));
+        let scanner = Scanner::new("ZMap Scan", vec![cfg]);
+        let end = scanner.estimated_end();
+        let sid = net.attach(ip(16, 3, 0, 1), Box::new(scanner));
         net.run_until(end);
         net.agent_downcast_mut::<Scanner>(sid).unwrap().results.clone()
     }
@@ -835,8 +864,9 @@ mod tests {
         );
         let mut cfg = ScannerConfig::full(Protocol::Telnet, ip(16, 4, 0, 0), 256, SimTime::ZERO, 1);
         cfg.blocklist.insert("16.4.0.0/24".parse().unwrap());
-        let end = Scanner::estimated_end(&cfg);
-        let sid = net.attach(ip(16, 3, 0, 1), Box::new(Scanner::new("ZMap Scan", vec![cfg])));
+        let scanner = Scanner::new("ZMap Scan", vec![cfg]);
+        let end = scanner.estimated_end();
+        let sid = net.attach(ip(16, 3, 0, 1), Box::new(scanner));
         net.run_until(end);
         let s = net.agent_downcast::<Scanner>(sid).unwrap();
         assert!(s.results.is_empty());
@@ -859,8 +889,9 @@ mod tests {
                 ports: vec![23],
                 ..ScannerConfig::full(Protocol::Telnet, ip(16, 4, 0, 0), 64, SimTime::ZERO, 9)
             };
-            let end = Scanner::estimated_end(&cfg);
-            let sid = net.attach(ip(16, 3, 0, 1), Box::new(Scanner::new("Shodan", vec![cfg])));
+            let scanner = Scanner::new("Shodan", vec![cfg]);
+            let end = scanner.estimated_end();
+            let sid = net.attach(ip(16, 3, 0, 1), Box::new(scanner));
             net.run_until(end);
             net.agent_downcast::<Scanner>(sid).unwrap().results.len()
         };
@@ -895,8 +926,9 @@ mod tests {
                 ports: vec![23],
                 ..ScannerConfig::full(Protocol::Telnet, ip(16, 4, 0, 0), 256, SimTime::ZERO, 1)
             };
-            let end = Scanner::estimated_end(&cfg) + SimDuration::from_secs(30);
-            let sid = net.attach(ip(16, 3, 0, 1), Box::new(Scanner::new("ZMap Scan", vec![cfg])));
+            let scanner = Scanner::new("ZMap Scan", vec![cfg]);
+            let end = scanner.estimated_end() + SimDuration::from_secs(30);
+            let sid = net.attach(ip(16, 3, 0, 1), Box::new(scanner));
             net.run_until(end);
             let s = net.agent_downcast::<Scanner>(sid).unwrap();
             assert_eq!(s.leaked_state(), 0, "grabs or retries leaked");
@@ -928,9 +960,9 @@ mod tests {
             targets: TargetSpace::index(offsets.clone()),
             ..ScannerConfig::full(Protocol::Telnet, ip(16, 4, 0, 0), 1 << 31, SimTime::ZERO, 5)
         };
-        assert_eq!(cfg.target_count(), offsets.len() as u64);
-        let end = Scanner::estimated_end(&cfg);
-        let sid = net.attach(ip(16, 3, 0, 1), Box::new(Scanner::new("ZMap Scan", vec![cfg])));
+        let scanner = Scanner::new("ZMap Scan", vec![cfg]);
+        let end = scanner.estimated_end();
+        let sid = net.attach(ip(16, 3, 0, 1), Box::new(scanner));
         net.run_until(end);
         let s = net.agent_downcast::<Scanner>(sid).unwrap();
         assert_eq!(s.probes_sent(), offsets.len() as u64);
@@ -959,8 +991,9 @@ mod tests {
             targets: TargetSpace::index(vec![3, 77, 1_000, 65_536, 2_000_000]),
             ..ScannerConfig::full(Protocol::Coap, ip(16, 4, 0, 0), 1 << 31, SimTime::ZERO, 8)
         };
-        let end = Scanner::estimated_end(&cfg);
-        let sid = net.attach(ip(16, 3, 0, 1), Box::new(Scanner::new("ZMap Scan", vec![cfg])));
+        let scanner = Scanner::new("ZMap Scan", vec![cfg]);
+        let end = scanner.estimated_end();
+        let sid = net.attach(ip(16, 3, 0, 1), Box::new(scanner));
         net.run_until(end);
         let s = net.agent_downcast::<Scanner>(sid).unwrap();
         let rec = s.results.records.get(&(ip(16, 4, 0, 77), 5683)).unwrap();
@@ -987,8 +1020,9 @@ mod tests {
                 targets,
                 ..ScannerConfig::full(Protocol::Telnet, ip(16, 4, 0, 0), 256, SimTime::ZERO, 3)
             };
-            let end = Scanner::estimated_end(&cfg);
-            let sid = net.attach(ip(16, 3, 0, 1), Box::new(Scanner::new("ZMap Scan", vec![cfg])));
+            let scanner = Scanner::new("ZMap Scan", vec![cfg]);
+            let end = scanner.estimated_end();
+            let sid = net.attach(ip(16, 3, 0, 1), Box::new(scanner));
             net.run_until(end);
             let s = net.agent_downcast::<Scanner>(sid).unwrap();
             let mut addrs: Vec<Ipv4Addr> =
@@ -1010,11 +1044,179 @@ mod tests {
             ports: vec![23, 2323],
             ..ScannerConfig::full(Protocol::Telnet, ip(16, 4, 0, 0), 512, SimTime::ZERO, 3)
         };
-        let end = Scanner::estimated_end(&cfg);
-        let sid = net.attach(ip(16, 3, 0, 1), Box::new(Scanner::new("ZMap Scan", vec![cfg])));
+        let scanner = Scanner::new("ZMap Scan", vec![cfg]);
+        let end = scanner.estimated_end();
+        let sid = net.attach(ip(16, 3, 0, 1), Box::new(scanner));
         net.run_until(end);
         let s = net.agent_downcast::<Scanner>(sid).unwrap();
         assert_eq!(s.probes_sent(), 512 * 2);
         assert!(s.all_probes_sent());
+    }
+
+    /// The per-sweep walk that shared walks replace: every sweep steps its
+    /// own permutation and applies ownership, then the blocklist, then the
+    /// sampling draw on the scanner's one RNG stream.
+    struct PerSweepWalks {
+        sweeps: Vec<OwnWalk>,
+        rng: StdRng,
+    }
+
+    /// A sweep with its own permutation and the ports still to probe at
+    /// its current address.
+    struct OwnWalk {
+        cfg: ScannerConfig,
+        perm: AddressPermutation,
+        pending: Vec<(Ipv4Addr, u16)>,
+    }
+
+    impl PerSweepWalks {
+        fn new(configs: &[ScannerConfig]) -> PerSweepWalks {
+            let seed = configs.first().map_or(0, |c| c.seed);
+            PerSweepWalks {
+                sweeps: configs
+                    .iter()
+                    .map(|c| OwnWalk {
+                        cfg: c.clone(),
+                        perm: AddressPermutation::new(c.targets.domain(c.size).max(1), c.seed),
+                        pending: Vec::new(),
+                    })
+                    .collect(),
+                rng: StdRng::seed_from_u64(ofh_net::rng::derive_seed(seed, "scanner")),
+            }
+        }
+
+        fn next_target(&mut self, i: usize) -> Option<(Ipv4Addr, u16)> {
+            let OwnWalk { cfg, perm, pending } = &mut self.sweeps[i];
+            loop {
+                if let Some(t) = pending.pop() {
+                    return Some(t);
+                }
+                let pos = perm.next()?;
+                let rel = match &cfg.targets {
+                    TargetSpace::Range => pos as u32,
+                    TargetSpace::Index(ix) => match ix.get(pos as usize) {
+                        Some(&rel) => rel,
+                        None => continue,
+                    },
+                };
+                let addr = Ipv4Addr::from(u32::from(cfg.base).wrapping_add(rel));
+                if !cfg.shard.owns(addr) || cfg.blocklist.contains(addr) {
+                    continue;
+                }
+                if cfg.sample_rate < 1.0 && !self.rng.gen_bool(cfg.sample_rate) {
+                    continue;
+                }
+                pending.extend(cfg.ports.iter().rev().map(|&port| (addr, port)));
+            }
+        }
+
+        /// The per-config schedule bound, counting each sweep's owned
+        /// targets by scanning its domain.
+        fn estimated_end(&self) -> SimTime {
+            let owned = |cfg: &ScannerConfig| match &cfg.targets {
+                TargetSpace::Range => cfg.shard.owned_in(cfg.base, cfg.size),
+                TargetSpace::Index(ix) => {
+                    let base = u32::from(cfg.base);
+                    ix.iter()
+                        .filter(|&&rel| cfg.shard.owns(Ipv4Addr::from(base.wrapping_add(rel))))
+                        .count() as u64
+                }
+            };
+            self.sweeps
+                .iter()
+                .map(|OwnWalk { cfg, .. }| {
+                    let ticks = owned(cfg) * cfg.ports.len() as u64 / cfg.batch as u64 + 2;
+                    let grabbed = cfg.start_at + cfg.tick.mul(ticks) + cfg.grab_window;
+                    grabbed + SimDuration::from_secs(10)
+                })
+                .max()
+                .unwrap_or(SimTime::ZERO)
+        }
+    }
+
+    /// One sweep: which of two seeds, which of two shards, dense or
+    /// indexed, its ports, its sampling rate (`None` = full coverage),
+    /// batch, start and tick in ms, and blocklisted (range offset, prefix
+    /// length) blocks.
+    type SweepDraw = (bool, bool, bool, Vec<u16>, Option<f64>, u32, u64, u64, Vec<(u32, u8)>);
+
+    fn arb_sweep() -> impl Strategy<Value = SweepDraw> {
+        (
+            any::<bool>(),
+            any::<bool>(),
+            any::<bool>(),
+            prop::collection::vec(any::<u16>(), 1..=3),
+            prop::option::of(0.05f64..1.0),
+            1u32..=64,
+            0u64..10_000,
+            1u64..=500,
+            prop::collection::vec((any::<u32>(), 20u8..=32), 0..=2),
+        )
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Sweeps sharing one owned-target walk issue exactly the (address,
+        /// port) sequence each issued walking its own permutation, under
+        /// any interleaving of their batches, and bound the schedule the
+        /// same way.
+        #[test]
+        fn shared_walks_issue_what_per_sweep_walks_issued(
+            size in 1u64..=4096,
+            base in any::<u32>(),
+            offsets in prop::collection::vec(0u32..4096, 0..=256),
+            count in prop::sample::select(vec![1u32, 2, 16, 64]),
+            shard_picks in (any::<u32>(), any::<u32>()),
+            seeds in (any::<u64>(), any::<u64>()),
+            draws in prop::collection::vec(arb_sweep(), 1..=6),
+            interleaving in any::<u64>(),
+        ) {
+            let mut offsets: Vec<u32> =
+                offsets.into_iter().filter(|&o| u64::from(o) < size).collect();
+            offsets.sort_unstable();
+            offsets.dedup();
+            let index = TargetSpace::index(offsets);
+            let shards =
+                [shard_picks.0, shard_picks.1].map(|i| ShardSpec { index: i % count, count });
+            let configs: Vec<ScannerConfig> = draws
+                .into_iter()
+                .map(|(seed_b, shard_b, indexed, ports, rate, batch, start_ms, tick_ms, blocks)| {
+                    let seed = if seed_b { seeds.1 } else { seeds.0 };
+                    let start = SimTime::ZERO + SimDuration::from_millis(start_ms);
+                    let first = Ipv4Addr::from(base);
+                    let mut cfg = ScannerConfig::full(Protocol::Telnet, first, size, start, seed);
+                    cfg.ports = ports;
+                    cfg.sample_rate = rate.unwrap_or(1.0);
+                    cfg.batch = batch;
+                    cfg.tick = SimDuration::from_millis(tick_ms);
+                    cfg.shard = shards[usize::from(shard_b)];
+                    if indexed {
+                        cfg.targets = index.clone();
+                    }
+                    for (off, len) in blocks {
+                        let at = Ipv4Addr::from(base.wrapping_add(off % size as u32));
+                        cfg.blocklist.insert(ofh_net::Cidr::new(at, len).unwrap());
+                    }
+                    cfg
+                })
+                .collect();
+            let mut oracle = PerSweepWalks::new(&configs);
+            let mut scanner = Scanner::new("props", configs);
+            prop_assert_eq!(scanner.estimated_end(), oracle.estimated_end());
+            let mut live: Vec<usize> = (0..scanner.sweeps.len()).collect();
+            let mut pick = StdRng::seed_from_u64(interleaving);
+            while !live.is_empty() {
+                let at = pick.gen_range(0..live.len());
+                let sweep = live[at];
+                let issued = scanner.next_target(sweep);
+                prop_assert_eq!(issued, oracle.next_target(sweep), "sweep {}", sweep);
+                if issued.is_none() {
+                    live.swap_remove(at);
+                }
+            }
+        }
     }
 }

@@ -154,6 +154,18 @@ impl<'a> Reader<'a> {
     pub fn slice(&mut self, n: usize) -> Result<&'a [u8]> {
         self.take(n)
     }
+
+    /// A `u32` count of `what` entries, each at least `min_entry` bytes
+    /// long, rejected when the rest of the buffer cannot hold that many —
+    /// so a corrupt count fails here instead of sizing an allocation.
+    pub fn count(&mut self, what: &str, min_entry: usize) -> Result<usize> {
+        let n = self.u32()? as usize;
+        let left = self.buf.len().saturating_sub(self.pos);
+        if n.saturating_mul(min_entry) > left {
+            return Err(FormatError(format!("{what} count {n} overruns the {left} bytes left")));
+        }
+        Ok(n)
+    }
 }
 
 /// Decode one little-endian `u32` at byte offset `off` (unaligned-safe).

@@ -177,11 +177,18 @@ pub struct TableView {
 }
 
 impl TableView {
-    /// Parse a table payload found at `[off, off+len)` of `file`.
+    /// Parse a table payload found at `[off, off+len)` of `file`. A
+    /// column's format error names the column.
     pub fn parse(file: &[u8], off: usize, len: usize) -> Result<TableView> {
+        let end = off
+            .checked_add(len)
+            .filter(|&end| end <= file.len())
+            .ok_or_else(|| FormatError("table outside the file".into()))?;
         let mut r = Reader::at(file, off);
         let rows = r.u64()? as usize;
-        let n = r.u32()? as usize;
+        // A directory entry is at least a one-byte name length, the kind
+        // and two u64s.
+        let n = r.count("column", 18)?;
         let mut columns = BTreeMap::new();
         let mut dir = Vec::with_capacity(n);
         for _ in 0..n {
@@ -194,16 +201,17 @@ impl TableView {
         for (name, kind, col_off, col_len) in dir {
             let abs = off
                 .checked_add(col_off)
-                .filter(|&a| a + col_len <= off + len && a + col_len <= file.len())
+                .filter(|&a| a.checked_add(col_len).is_some_and(|col_end| col_end <= end))
                 .ok_or_else(|| FormatError(format!("column {name} outside its table")))?;
             let col = match kind {
-                KIND_U32 => Column::U32(U32View::parse(file, abs, col_len, rows)?),
-                KIND_U16 => Column::U16(U16View::parse(file, abs, col_len, rows)?),
-                KIND_DICT8 => Column::Dict(DictView::parse(file, abs, col_len, rows)?),
-                KIND_T64 => Column::T64(T64View::parse(file, abs, col_len, rows)?),
-                KIND_BITSET => Column::Bitset(BitsetView::parse(file, abs, col_len, rows)?),
-                k => return Err(FormatError(format!("unknown column kind {k}"))),
-            };
+                KIND_U32 => U32View::parse(file, abs, col_len, rows).map(Column::U32),
+                KIND_U16 => U16View::parse(file, abs, col_len, rows).map(Column::U16),
+                KIND_DICT8 => DictView::parse(file, abs, col_len, rows).map(Column::Dict),
+                KIND_T64 => T64View::parse(file, abs, col_len, rows).map(Column::T64),
+                KIND_BITSET => BitsetView::parse(file, abs, col_len, rows).map(Column::Bitset),
+                k => Err(FormatError(format!("unknown kind {k}"))),
+            }
+            .map_err(|e| FormatError(format!("column {name}: {}", e.0)))?;
             columns.insert(name, col);
         }
         Ok(TableView { rows, columns })
@@ -268,7 +276,8 @@ impl SegmentView {
         if version != VERSION {
             return Err(FormatError(format!("unsupported store version {version}")));
         }
-        let n = r.u32()? as usize;
+        // A TOC entry is at least a one-byte name length and two u64s.
+        let n = r.count("table", 17)?;
         let mut toc = Vec::with_capacity(n);
         for _ in 0..n {
             let name = r.string()?;
@@ -278,10 +287,12 @@ impl SegmentView {
         }
         let mut tables = BTreeMap::new();
         for (name, off, len) in toc {
-            if off + len > file.len() {
+            if off.checked_add(len).is_none_or(|end| end > file.len()) {
                 return Err(FormatError(format!("table {name} outside the file")));
             }
-            tables.insert(name.clone(), TableView::parse(file, off, len)?);
+            let table = TableView::parse(file, off, len)
+                .map_err(|e| FormatError(format!("table {name}, {}", e.0)))?;
+            tables.insert(name, table);
         }
         Ok(SegmentView { tables })
     }

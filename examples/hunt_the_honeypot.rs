@@ -66,9 +66,10 @@ fn main() {
         scan_start(Protocol::Telnet),
         seed,
     );
-    let end = Scanner::estimated_end(&cfg);
+    let scanner = Scanner::new("ZMap Scan", vec![cfg]);
+    let end = scanner.estimated_end();
     let scanner_addr = universe.scanner_addr();
-    let zmap = net.attach(scanner_addr, Box::new(Scanner::new("ZMap Scan", vec![cfg])));
+    let zmap = net.attach(scanner_addr, Box::new(scanner));
     net.run_until(end);
     let results = net.agent_downcast_mut::<Scanner>(zmap).unwrap().results.clone();
 

@@ -59,9 +59,10 @@ fn main() {
             ScannerConfig::full(p, universe.cidr().first(), universe.size(), scan_start(p), seed)
         })
         .collect();
-    let scan_end = zmap_cfgs.iter().map(Scanner::estimated_end).max().unwrap();
+    let zmap = Scanner::new("ZMap Scan", zmap_cfgs);
+    let scan_end = zmap.estimated_end();
     let scanner_addr = universe.scanner_addr();
-    let zmap = net.attach(scanner_addr, Box::new(Scanner::new("ZMap Scan", zmap_cfgs)));
+    let zmap = net.attach(scanner_addr, Box::new(zmap));
     let sonar = net.attach(
         Ipv4Addr::from(u32::from(scanner_addr) + 1),
         Box::new(Scanner::new(

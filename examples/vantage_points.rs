@@ -65,11 +65,9 @@ fn main() {
         for b in blocks {
             cfg.blocklist.insert(*b);
         }
-        let end = Scanner::estimated_end(&cfg);
-        let id = net.attach(
-            Ipv4Addr::from(scanner_base + v as u32),
-            Box::new(Scanner::new(format!("vantage-{v}"), vec![cfg])),
-        );
+        let scanner = Scanner::new(format!("vantage-{v}"), vec![cfg]);
+        let end = scanner.estimated_end();
+        let id = net.attach(Ipv4Addr::from(scanner_base + v as u32), Box::new(scanner));
         ids.push((id, end));
     }
     let end = ids.iter().map(|&(_, e)| e).max().unwrap();

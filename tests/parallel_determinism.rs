@@ -6,6 +6,7 @@
 //! rendered outputs, reporting the first divergent line on failure so a
 //! determinism regression points straight at the table that drifted.
 
+use ofh_core::intel::sha256;
 use ofh_core::{PopulationMode, Study, StudyConfig, StudyReport};
 
 fn run_quick(seed: u64, workers: usize) -> StudyReport {
@@ -88,18 +89,47 @@ fn implicit_population_matches_eager_byte_for_byte() {
     }
 }
 
-/// Same guarantee on the standard profile (2^20 universe). Minutes-long in
-/// debug builds, so it only runs under `--release` (e.g. via ci.sh).
+/// SHA-256 of the standard profile's seed-99 `render_full()` and trace
+/// JSONL. Two worker counts can agree on changed bytes (a scan-walk change
+/// alters a dense 2^20 sweep the same way at any count), so the bytes are
+/// pinned too. Regenerate both with
+/// `openforhire study --preset standard --seed 99 --trace-out t > r`,
+/// then `head -c -1 r | sha256sum` (the CLI's println adds one newline)
+/// and `sha256sum t` — but only after deciding the behavior change is
+/// intentional.
+const STANDARD_SEED99_REPORT_SHA256: &str =
+    "332eecc047f11e7e59cd539dff616b76397931f1a7d531876e7a4645f8ec48bc";
+const STANDARD_SEED99_TRACE_SHA256: &str =
+    "34458fd3b72a2f0523d281516bd7b4ff035317b8aafa80ecd2d34bcacf9ca042";
+
+fn sha256_hex(bytes: &[u8]) -> String {
+    sha256(bytes).iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Same guarantee on the standard profile (2^20 universe), plus its pinned
+/// bytes. Minutes-long in debug builds, so it only runs under `--release`
+/// (e.g. via ci.sh).
 #[test]
 #[cfg_attr(debug_assertions, ignore = "slow in debug; run with --release")]
 fn standard_profile_golden_report() {
     let run = |workers: usize| {
         let mut cfg = StudyConfig::standard(99);
         cfg.workers = workers;
-        Study::new(cfg).run().render_full()
+        Study::new(cfg).run()
     };
-    let golden = run(1);
-    let parallel = run(8);
+    let report = run(1);
+    let golden = report.render_full();
+    let parallel = run(8).render_full();
     assert_identical_lines("standard render_full", 1, 8, &golden, &parallel);
     assert_eq!(golden, parallel);
+    assert_eq!(
+        sha256_hex(golden.as_bytes()),
+        STANDARD_SEED99_REPORT_SHA256,
+        "standard seed-99 report bytes moved"
+    );
+    assert_eq!(
+        sha256_hex(report.trace.to_jsonl("standard", 16).as_bytes()),
+        STANDARD_SEED99_TRACE_SHA256,
+        "standard seed-99 trace bytes moved"
+    );
 }

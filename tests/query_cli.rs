@@ -1,14 +1,15 @@
 //! `openforhire query` fails closed on a corrupt store: a dictionary code
-//! past its dictionary, a label no enum knows, or scan rows out of the
-//! order Table 4's walk relies on, is an error with a message and exit
-//! code 1, never a panic and never a table that counts the bad rows as
-//! something else.
+//! past its dictionary, a table or column count or a table length the file
+//! cannot hold, a label no enum knows, or scan rows out of the order Table
+//! 4's walk relies on, is an error with a message and exit code 1, never a
+//! panic, an abort or a table that counts the bad rows as something else.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use ofh_core::{Study, StudyConfig};
-use ofh_store::bytes::Writer;
+use ofh_store::bytes::{Reader, Writer};
+use ofh_store::segment::MAGIC;
 use ofh_store::{build_store, StoreInput, StoreReader};
 
 fn query(store: &Path, args: &[&str]) -> Output {
@@ -35,6 +36,30 @@ fn replace_once(bytes: &[u8], from: &[u8], to: &[u8]) -> Vec<u8> {
     let at = find_once(bytes, from);
     let mut out = bytes.to_vec();
     out[at..at + from.len()].copy_from_slice(to);
+    out
+}
+
+/// Where the segment's table count sits, and per table of contents entry
+/// the table's name, its offset and where the entry's length field sits.
+fn toc(store: &[u8]) -> (usize, Vec<(String, usize, usize)>) {
+    let count_at = MAGIC.len() + 4;
+    let mut r = Reader::at(store, count_at);
+    let tables = (0..r.u32().unwrap())
+        .map(|_| {
+            let name = r.string().unwrap();
+            let off = r.u64().unwrap() as usize;
+            let len_at = r.pos;
+            r.u64().unwrap();
+            (name, off, len_at)
+        })
+        .collect();
+    (count_at, tables)
+}
+
+/// `bytes` with `value` written over the bytes at `at`.
+fn overwrite(bytes: &[u8], at: usize, value: &[u8]) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    out[at..at + value.len()].copy_from_slice(value);
     out
 }
 
@@ -82,6 +107,15 @@ fn mutated_stores_are_rejected_with_an_error() {
         "renamed_source.store",
         &replace_once(&store, &label("ZMap Scan"), &label("ZMap Scam")),
     );
+    // Counts and a length at their type's maximum: the table count, the
+    // scan table's column count (after its u64 row count) and the meta
+    // table's length.
+    let (count_at, tables) = toc(&store);
+    let table = |name: &str| tables.iter().find(|t| t.0 == name).expect("table in TOC");
+    let table_count = write("table_count.store", &overwrite(&store, count_at, &[0xFF; 4]));
+    let column_count =
+        write("column_count.store", &overwrite(&store, table("scan").1 + 8, &[0xFF; 4]));
+    let meta_len = write("meta_len.store", &overwrite(&store, table("meta").2, &[0xFF; 8]));
     // Well-formed rows, but the Sonar records come before the ZMap ones.
     let filter = report.fingerprint.filter_set();
     let reordered = write(
@@ -102,9 +136,16 @@ fn mutated_stores_are_rejected_with_an_error() {
         assert!(out.status.success(), "{args:?} on the good store: {stderr}");
     }
     // Each mutation fails every query that reads what it broke, and says why.
-    let rejected: Vec<(&PathBuf, &[&str], &str)> = every_query
+    // The store is parsed at open, so a broken layout fails every query.
+    let at_open = [
+        (&corrupt_code, "table scan, column source: DICT8 code 200 past its 3 labels"),
+        (&table_count, "table count 4294967295 overruns"),
+        (&column_count, "table scan, column count 4294967295 overruns"),
+        (&meta_len, "table meta outside the file"),
+    ];
+    let rejected: Vec<(&PathBuf, &[&str], &str)> = at_open
         .iter()
-        .map(|&args| (&corrupt_code, args, "past its 3 labels"))
+        .flat_map(|&(store, why)| every_query.iter().map(move |&args| (store, args, why)))
         .chain([
             (&renamed_class, &["table", "7"][..], "unknown src_class label \"malicioux\""),
             (&renamed_source, &["table", "4"][..], "unknown source label \"ZMap Scam\""),

@@ -23,8 +23,9 @@ fn run_scan(seed: u64, scale: u64) -> (ofh_core::devices::population::Population
             ScannerConfig::full(p, universe.cidr().first(), universe.size(), scan_start(p), seed)
         })
         .collect();
-    let end = cfgs.iter().map(Scanner::estimated_end).max().unwrap();
-    let id = net.attach(universe.scanner_addr(), Box::new(Scanner::new("ZMap Scan", cfgs)));
+    let scanner = Scanner::new("ZMap Scan", cfgs);
+    let end = scanner.estimated_end();
+    let id = net.attach(universe.scanner_addr(), Box::new(scanner));
     net.run_until(end);
     let results = net.agent_downcast_mut::<Scanner>(id).unwrap().results.clone();
     (population, results)
