@@ -20,6 +20,9 @@
 //!   are marked `flat_curve_expected: true` so curve consumers don't read
 //!   their `speedup_x` as a regression.
 //!
+//! Each preset runs one untimed study before its grid, so the first timed
+//! cell (a `workers=1` baseline) is not also the process's first study.
+//!
 //! Modes: `cargo bench -p ofh-bench --bench scaling` times the full grid;
 //! `BENCH_SCALING_MINI=1` runs a bounded 2×2 quick-only grid (CI exercises
 //! the harness this way); `BENCH_SCALING_FULL=1` additionally times
@@ -98,7 +101,16 @@ fn main() {
     };
 
     let mut cells: Vec<Cell> = Vec::new();
+    let mut warmed: Vec<&str> = Vec::new();
     for (preset, shards, workers_axis, reps) in grid {
+        // One untimed study per preset before its first cell, so no
+        // workers=1 baseline pays for the process's first study (cold
+        // caches, first-touch page faults, lazy statics) and inflates
+        // every speedup_x of its row.
+        if !warmed.contains(&preset) {
+            time_cell(preset, shards, 1, 1);
+            warmed.push(preset);
+        }
         let mut base_s = None;
         for workers in workers_axis {
             let wall_s = time_cell(preset, shards, workers, reps);

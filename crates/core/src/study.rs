@@ -50,7 +50,9 @@ use ofh_honeypots::{
 use ofh_intel::GeoDb;
 use ofh_net::rng::rng_for;
 use ofh_net::sim::Counters;
-use ofh_net::{Agent, AgentId, HostSpawner, ShardSpec, SimNet, SimNetConfig, SimTime, Transport};
+use ofh_net::{
+    Agent, AgentId, FastMap, HostSpawner, ShardSpec, SimNet, SimNetConfig, SimTime, Transport,
+};
 use ofh_obs::{MetricRegistry, MetricsSnapshot, ProfileNode, ShardObs, Stopwatch, TraceLog};
 use ofh_scan::{datasets, scan_start, ScanResults, Scanner, ScannerConfig, TargetSpace};
 use ofh_telescope::{Telescope, TelescopeSummary};
@@ -149,61 +151,71 @@ fn partition_inputs(
 }
 
 /// The streaming host population of one shard: non-infected devices live in
-/// a struct-of-arrays [`HostArena`], wild honeypots in a sorted parallel
-/// list. Occupancy is a binary search; agents materialize on first touch
-/// (see [`ofh_net::HostSpawner`] for the contract this satisfies). Infected
-/// devices are *excluded* — their `on_boot` schedules bot tasks, so they
-/// must exist from simulation start and stay eagerly attached.
+/// a struct-of-arrays [`HostArena`], and one directory maps every address
+/// the shard owns to its arena slot or wild-honeypot family. Occupancy, the
+/// port rule and spawning are each one hash lookup in it; agents
+/// materialize on first touch (see [`ofh_net::HostSpawner`] for the
+/// contract this satisfies). Infected devices are *excluded* — their
+/// `on_boot` schedules bot tasks, so they must exist from simulation start
+/// and stay eagerly attached.
 ///
 /// The spawner also answers the port question for every host it owns, from
 /// the same rule the agents' guards use, so probes and datagrams to ports a
 /// host does not serve never wake it.
 struct ShardSpawner {
     arena: HostArena,
-    wild: Vec<(u32, WildHoneypot)>,
+    directory: FastMap<u32, Host>,
+}
+
+/// A directory entry: where a spawner host's ground truth lives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Host {
+    /// A device, at this slot of the arena.
+    Arena(u32),
+    /// A wild honeypot of this family.
+    Wild(WildHoneypot),
 }
 
 impl ShardSpawner {
     fn build(records: &[DeviceRecord], part: &ShardPart) -> ShardSpawner {
         let arena = HostArena::from_records(part.hosts.iter().map(|&i| &records[i]), |_| true);
-        let mut wild: Vec<(u32, WildHoneypot)> = part
-            .wild
-            .iter()
-            .map(|&(addr, family)| (u32::from(addr), family))
-            .collect();
-        wild.sort_unstable_by_key(|&(addr, _)| addr);
-        ShardSpawner { arena, wild }
+        let mut directory = FastMap::default();
+        directory.reserve(arena.len() + part.wild.len());
+        for (slot, addr) in arena.addrs().enumerate() {
+            directory.insert(u32::from(addr), Host::Arena(slot as u32));
+        }
+        for &(addr, family) in &part.wild {
+            let clash = directory.insert(u32::from(addr), Host::Wild(family));
+            debug_assert!(clash.is_none(), "wild honeypot on occupied address {addr}");
+        }
+        ShardSpawner { arena, directory }
     }
 
-    fn wild_family(&self, addr: Ipv4Addr) -> Option<WildHoneypot> {
-        self.wild
-            .binary_search_by_key(&u32::from(addr), |&(a, _)| a)
-            .ok()
-            .map(|i| self.wild[i].1)
+    #[inline]
+    fn host(&self, addr: Ipv4Addr) -> Option<Host> {
+        self.directory.get(&u32::from(addr)).copied()
     }
 }
 
 impl HostSpawner for ShardSpawner {
     fn occupied(&self, addr: Ipv4Addr) -> bool {
-        self.arena.contains(addr) || self.wild_family(addr).is_some()
+        self.host(addr).is_some()
     }
 
     fn spawn(&mut self, addr: Ipv4Addr) -> Option<Box<dyn Agent>> {
-        if let Some(slot) = self.arena.lookup(addr) {
-            return Some(self.arena.build_agent(slot));
-        }
-        self.wild_family(addr)
-            .map(|family| Box::new(WildHoneypotAgent::new(family)) as Box<dyn Agent>)
+        Some(match self.host(addr)? {
+            Host::Arena(slot) => self.arena.build_agent(slot as usize),
+            Host::Wild(family) => Box::new(WildHoneypotAgent::new(family)),
+        })
     }
 
     fn serves(&self, addr: Ipv4Addr, transport: Transport, port: u16) -> Option<bool> {
-        if let Some(slot) = self.arena.lookup(addr) {
-            return Some(self.arena.serves(slot, transport, port));
-        }
-        // A wild honeypot accepts TCP on its family's port and nothing else
-        // (`WildHoneypotAgent::on_tcp_open`; it has no UDP handler).
-        self.wild_family(addr)
-            .map(|family| transport == Transport::Tcp && port == family.port())
+        Some(match self.host(addr)? {
+            Host::Arena(slot) => self.arena.serves(slot as usize, transport, port),
+            // A wild honeypot accepts TCP on its family's port and nothing
+            // else (`WildHoneypotAgent::on_tcp_open`; it has no UDP handler).
+            Host::Wild(family) => transport == Transport::Tcp && port == family.port(),
+        })
     }
 }
 
@@ -867,7 +879,9 @@ fn run_shard(inputs: &ShardInputs<'_>, spec: ShardSpec) -> ShardOutput {
     net.run_until(cfg.study_end());
     // Fold the network's locally-accumulated observability (final partial
     // hour, payload-size histograms, connection high-water mark) into this
-    // shard's recording target while it is still installed.
+    // shard's recording target while it is still installed. The scanners'
+    // response tallies and the telescope's flow tallies follow at
+    // extraction.
     net.flush_obs();
     profile.push_child(phase_sw.leaf("month"));
 
@@ -886,6 +900,7 @@ fn run_shard(inputs: &ShardInputs<'_>, spec: ShardSpec) -> ShardOutput {
         let s = net.agent_downcast_mut::<Scanner>(zmap_id).expect("zmap scanner");
         resilience.absorb(&s.resilience);
         leaked += s.leaked_state();
+        s.flush_obs();
     }
     let sonar = extract_results(&mut net, sonar_id, &mut resilience, &mut leaked);
     let shodan = extract_results(&mut net, shodan_id, &mut resilience, &mut leaked);
@@ -906,11 +921,12 @@ fn run_shard(inputs: &ShardInputs<'_>, spec: ShardSpec) -> ShardOutput {
     for log in &mut logs {
         log.retain(|e| !own_infra.contains(&e.src));
     }
-    let telescope = std::mem::replace(
+    let mut telescope = std::mem::replace(
         net.tap_downcast_mut::<Telescope>(telescope_tap)
             .expect("telescope tap"),
         Telescope::new(GeoDb::new()),
     );
+    telescope.flush_obs();
 
     profile.push_child(phase_sw.leaf("extract"));
     profile.wall_ns = shard_sw.elapsed().as_nanos() as u64;
@@ -959,6 +975,7 @@ fn extract_results(
     let s = net.agent_downcast_mut::<Scanner>(id).expect("scanner agent");
     resilience.absorb(&s.resilience);
     *leaked += s.leaked_state();
+    s.flush_obs();
     std::mem::take(&mut s.results)
 }
 
@@ -1022,9 +1039,164 @@ mod tests {
 
                 let spawner = ShardSpawner::build(records, part);
                 assert_eq!(spawner.arena.len(), part.hosts.len());
-                assert!(part.hosts.iter().all(|&i| spawner.arena.contains(records[i].addr)));
-                assert!(part.infected.iter().all(|&i| !spawner.arena.contains(records[i].addr)));
+                assert!(part.hosts.iter().all(|&i| spawner.occupied(records[i].addr)));
+                assert!(part.infected.iter().all(|&i| !spawner.occupied(records[i].addr)));
             }
+        }
+    }
+
+    /// The lookups the directory replaced: a binary search over the sorted
+    /// arena addresses (whose rank is the arena slot), then one over the
+    /// sorted wild-honeypot list, with the port rules restated from the
+    /// agents' guards.
+    struct BinarySearchOracle {
+        /// Arena hosts' record indexes, sorted by address: position = slot.
+        arena: Vec<(u32, usize)>,
+        wild: Vec<(u32, WildHoneypot)>,
+    }
+
+    impl BinarySearchOracle {
+        fn new(records: &[DeviceRecord], part: &ShardPart) -> BinarySearchOracle {
+            let mut arena: Vec<(u32, usize)> =
+                part.hosts.iter().map(|&i| (u32::from(records[i].addr), i)).collect();
+            arena.sort_unstable();
+            let mut wild: Vec<(u32, WildHoneypot)> =
+                part.wild.iter().map(|&(a, f)| (u32::from(a), f)).collect();
+            wild.sort_unstable_by_key(|&(a, _)| a);
+            BinarySearchOracle { arena, wild }
+        }
+
+        fn host(&self, addr: Ipv4Addr) -> Option<Host> {
+            let a = u32::from(addr);
+            if let Ok(slot) = self.arena.binary_search_by_key(&a, |&(x, _)| x) {
+                return Some(Host::Arena(slot as u32));
+            }
+            let i = self.wild.binary_search_by_key(&a, |&(x, _)| x).ok()?;
+            Some(Host::Wild(self.wild[i].1))
+        }
+
+        fn serves(
+            &self,
+            records: &[DeviceRecord],
+            addr: Ipv4Addr,
+            transport: Transport,
+            port: u16,
+        ) -> Option<bool> {
+            Some(match self.host(addr)? {
+                Host::Arena(slot) => {
+                    let r = &records[self.arena[slot as usize].1];
+                    ofh_devices::endpoints::serves(r.protocol, r.port, transport, port)
+                }
+                Host::Wild(family) => transport == Transport::Tcp && port == family.port(),
+            })
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+        /// The shard spawner's one hash directory answers `occupied`,
+        /// `serves` and `spawn` as the binary searches it replaced did, for
+        /// random arenas (a random share of a shard's devices) and wild
+        /// lists, at 1, 16 and 64 shards: on every present address, on
+        /// absent ones (devices left out or owned elsewhere, neighbours of
+        /// present addresses, strays), over TCP and UDP, on every device
+        /// and wild-honeypot port plus random ones.
+        #[test]
+        fn directory_agrees_with_binary_search_oracle(
+            seed in 0u64..4,
+            shards in proptest::sample::select(vec![1u32, 16, 64]),
+            shard_pick in 0u32..64,
+            keep_pct in 0u64..=100,
+            keep_salt in proptest::arbitrary::any::<u64>(),
+            wild_offsets in proptest::collection::vec(
+                (proptest::arbitrary::any::<u16>(), 0usize..WildHoneypot::ALL.len()),
+                0..=96,
+            ),
+            strays in proptest::collection::vec(proptest::arbitrary::any::<u32>(), 0..=16),
+            random_ports in proptest::collection::vec(proptest::arbitrary::any::<u16>(), 0..=4),
+        ) {
+            let cfg = StudyConfig::quick(seed);
+            let population = population_for(&cfg);
+            let records = &population.records;
+            let spec = ShardSpec { index: shard_pick % shards, count: shards };
+            let occupied_by_devices: std::collections::BTreeSet<Ipv4Addr> =
+                records.iter().map(|r| r.addr).collect();
+            let mut part = ShardPart::default();
+            for (i, r) in records.iter().enumerate() {
+                let kept = ofh_net::rng::splitmix64(keep_salt ^ i as u64) % 100 < keep_pct;
+                if spec.owns(r.addr) && kept {
+                    part.hosts.push(i);
+                }
+            }
+            let base = u32::from(cfg.universe.cidr().first());
+            let mut wild_addrs = std::collections::BTreeSet::new();
+            for &(offset, family) in &wild_offsets {
+                let addr = Ipv4Addr::from(base + u32::from(offset));
+                if spec.owns(addr) && !occupied_by_devices.contains(&addr) && wild_addrs.insert(addr) {
+                    part.wild.push((addr, WildHoneypot::ALL[family]));
+                }
+            }
+
+            let oracle = BinarySearchOracle::new(records, &part);
+            let mut spawner = ShardSpawner::build(records, &part);
+
+            let mut probes: Vec<Ipv4Addr> = records.iter().map(|r| r.addr).collect();
+            probes.extend(part.wild.iter().map(|&(a, _)| a));
+            let neighbours: Vec<Ipv4Addr> = probes
+                .iter()
+                .flat_map(|&a| [u32::from(a).wrapping_sub(1), u32::from(a).wrapping_add(1)])
+                .map(Ipv4Addr::from)
+                .collect();
+            probes.extend(neighbours);
+            probes.extend(strays.iter().map(|&a| Ipv4Addr::from(a)));
+            probes.sort_unstable();
+            probes.dedup();
+
+            let mut ports: Vec<u16> = records.iter().map(|r| r.port).collect();
+            ports.extend(WildHoneypot::ALL.iter().map(|f| f.port()));
+            ports.extend([0, 21, 22, 80, 443, 502, 1883, 1900, 2323, 5222, 5672, 5683, 8080]);
+            ports.extend(&random_ports);
+            ports.sort_unstable();
+            ports.dedup();
+
+            let mut present = 0;
+            for &addr in &probes {
+                let expected = oracle.host(addr);
+                present += usize::from(expected.is_some());
+                proptest::prop_assert_eq!(spawner.host(addr), expected, "directory entry of {}", addr);
+                proptest::prop_assert_eq!(spawner.occupied(addr), expected.is_some(), "occupied({})", addr);
+                for transport in [Transport::Tcp, Transport::Udp] {
+                    for &port in &ports {
+                        proptest::prop_assert_eq!(
+                            spawner.serves(addr, transport, port),
+                            oracle.serves(records, addr, transport, port),
+                            "serves({}, {:?}, {})", addr, transport, port
+                        );
+                    }
+                }
+                let spawned = spawner.spawn(addr);
+                match expected {
+                    None => proptest::prop_assert!(spawned.is_none(), "spawned at empty {}", addr),
+                    Some(Host::Arena(slot)) => {
+                        let want = records[oracle.arena[slot as usize].1].build_agent();
+                        let got = spawned.expect("arena host spawns");
+                        proptest::prop_assert_eq!(
+                            (&*got as &dyn std::any::Any).type_id(),
+                            (&*want as &dyn std::any::Any).type_id(),
+                            "agent type at {}", addr
+                        );
+                    }
+                    Some(Host::Wild(family)) => {
+                        let got = spawned.expect("wild honeypot spawns");
+                        let agent = (&*got as &dyn std::any::Any)
+                            .downcast_ref::<WildHoneypotAgent>()
+                            .expect("a wild honeypot agent");
+                        proptest::prop_assert_eq!(agent.family, family, "family at {}", addr);
+                    }
+                }
+            }
+            proptest::prop_assert_eq!(present, part.hosts.len() + part.wild.len());
         }
     }
 }

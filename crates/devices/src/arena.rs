@@ -7,8 +7,11 @@
 //! [`HostArena`] instead keeps the *generation ground truth* (everything a
 //! [`DeviceRecord`] holds) in parallel column vectors sorted by address:
 //!
-//! * occupancy is a binary search over one dense `u32` column — the only
-//!   column the hot occupancy path ever touches, so it stays cache-resident;
+//! * the arena answers by slot, not by address: its owner maps addresses
+//!   to slots (the study's shard spawner keeps one hash directory over its
+//!   arena slots and wild honeypots, so occupancy, the port rule and
+//!   spawning are one lookup each), and [`HostArena::addrs`] lists each
+//!   slot's address in ascending order to build that map from;
 //! * per-host agents are built on demand ([`HostArena::build_agent`]) when a
 //!   packet first arrives, which is exactly the `HostSpawner` contract in
 //!   `ofh_net` — generation is a pure function of the stored columns, so
@@ -82,16 +85,17 @@ impl HostArena {
         self.addrs.is_empty()
     }
 
-    /// Arena slot for `addr`, if occupied. One binary search over the dense
-    /// address column — this is the occupancy hot path.
-    #[inline]
-    pub fn lookup(&self, addr: Ipv4Addr) -> Option<usize> {
+    /// Arena slot for `addr`, if occupied: a binary search over the sorted
+    /// address column. The test oracle for slot order; production callers
+    /// keep their own address map.
+    #[cfg(test)]
+    fn lookup(&self, addr: Ipv4Addr) -> Option<usize> {
         self.addrs.binary_search(&u32::from(addr)).ok()
     }
 
-    /// Whether `addr` is an arena host.
-    #[inline]
-    pub fn contains(&self, addr: Ipv4Addr) -> bool {
+    /// Whether `addr` is an arena host (test oracle, as [`Self::lookup`]).
+    #[cfg(test)]
+    fn contains(&self, addr: Ipv4Addr) -> bool {
         self.lookup(addr).is_some()
     }
 
@@ -123,7 +127,8 @@ impl HostArena {
         self.record(slot).build_agent()
     }
 
-    /// Iterate the stored addresses in ascending order.
+    /// Iterate the stored addresses in ascending order, which is slot
+    /// order: the `i`th address is the host at slot `i`.
     pub fn addrs(&self) -> impl Iterator<Item = Ipv4Addr> + '_ {
         self.addrs.iter().map(|&a| Ipv4Addr::from(a))
     }

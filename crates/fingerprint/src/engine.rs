@@ -13,7 +13,7 @@ use std::net::Ipv4Addr;
 
 use ofh_honeypots::WildHoneypot;
 use ofh_net::Payload;
-use ofh_net::{Agent, ConnToken, NetCtx, SimDuration, SockAddr};
+use ofh_net::{Agent, ConnToken, FastMap, NetCtx, SimDuration, SockAddr};
 use ofh_scan::ScanResults;
 
 use crate::signatures::SignatureDb;
@@ -78,19 +78,36 @@ impl FingerprintReport {
 }
 
 /// Passive stage: candidates from scan results whose raw banner matches a
-/// signature.
+/// signature, in record order.
+///
+/// Records that share an interned banner share one raw buffer, so each
+/// distinct buffer goes through the automaton once and its verdict is
+/// reused, keyed by the buffer's address and length. Every buffer stays
+/// borrowed from `results` for the whole call, so that key names one
+/// buffer (records with equal bytes in separate buffers are matched once
+/// each, to the same verdict). The `fingerprint.ac.*` counters are
+/// recorded once, with the totals matching every record on its own would
+/// have recorded.
 pub fn passive_candidates(
     db: &SignatureDb,
     results: &ScanResults,
 ) -> Vec<(Ipv4Addr, u16, WildHoneypot)> {
+    let mut verdicts: FastMap<(usize, usize), (Option<WildHoneypot>, u64)> = FastMap::default();
+    let (mut bytes, mut matches) = (0u64, 0u64);
     let candidates: Vec<_> = results
         .records
         .values()
         .filter_map(|r| {
-            db.match_banner(r.raw())
-                .map(|family| (r.addr, r.port, family))
+            let raw = r.raw();
+            let (family, hits) = *verdicts
+                .entry((raw.as_ptr() as usize, raw.len()))
+                .or_insert_with(|| db.match_quietly(raw));
+            bytes += raw.len() as u64;
+            matches += hits;
+            family.map(|family| (r.addr, r.port, family))
         })
         .collect();
+    crate::signatures::count_scanned(results.records.len() as u64, bytes, matches);
     for &(_, _, family) in &candidates {
         ofh_obs::count_l("fingerprint.passive.candidate", family.name(), 1);
     }

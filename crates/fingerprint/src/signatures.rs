@@ -36,15 +36,22 @@ impl SignatureDb {
     /// match (signatures are designed disjoint, but banners are attacker
     /// controlled), the longest pattern wins.
     pub fn match_banner(&self, banner: &[u8]) -> Option<WildHoneypot> {
+        let (family, matches) = self.match_quietly(banner);
+        count_scanned(1, banner.len() as u64, matches);
+        family
+    }
+
+    /// [`Self::match_banner`] without the metrics: the family, plus how
+    /// many signature occurrences the automaton found. For callers that
+    /// tally the `fingerprint.ac.*` counters themselves.
+    pub(crate) fn match_quietly(&self, banner: &[u8]) -> (Option<WildHoneypot>, u64) {
         let hits = self.automaton.find_all(banner);
-        ofh_obs::count("fingerprint.ac.banners_scanned", 1);
-        ofh_obs::count("fingerprint.ac.bytes_scanned", banner.len() as u64);
-        if !hits.is_empty() {
-            ofh_obs::count("fingerprint.ac.matches", hits.len() as u64);
-        }
-        hits.into_iter()
+        let matches = hits.len() as u64;
+        let family = hits
+            .into_iter()
             .max_by_key(|&i| self.patterns[i as usize].len())
-            .map(|i| self.families[i as usize])
+            .map(|i| self.families[i as usize]);
+        (family, matches)
     }
 
     /// Naive per-pattern matching (ablation oracle).
@@ -57,6 +64,20 @@ impl SignatureDb {
 
     pub fn families(&self) -> &[WildHoneypot] {
         &self.families
+    }
+}
+
+/// Record `banners` scanned banners of `bytes` bytes in total, holding
+/// `matches` signature occurrences, in the `fingerprint.ac.*` counters.
+/// Keys appear as per-banner recording would create them: the first two
+/// once any banner is scanned, `matches` once any signature occurs.
+pub(crate) fn count_scanned(banners: u64, bytes: u64, matches: u64) {
+    if banners > 0 {
+        ofh_obs::count("fingerprint.ac.banners_scanned", banners);
+        ofh_obs::count("fingerprint.ac.bytes_scanned", bytes);
+    }
+    if matches > 0 {
+        ofh_obs::count("fingerprint.ac.matches", matches);
     }
 }
 

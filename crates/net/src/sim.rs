@@ -283,6 +283,11 @@ enum NetEvent {
 ///   `Some(false)` lets the fabric skip delivery, so it must mean that the
 ///   agent refuses a SYN to that port, or ignores a datagram to it, with no
 ///   other effect.
+/// * [`Self::serves`] returns `Some` only for addresses [`Self::occupied`]
+///   claims. The fabric relies on it: a `Some` answer is taken as the
+///   host's presence too, so a probe toward a spawner host costs the one
+///   `serves` lookup, and only a `None` sends the fabric on to its attached
+///   hosts and [`Self::occupied`].
 pub trait HostSpawner {
     /// Whether an implicit host exists at `addr`. Must be stable.
     fn occupied(&self, addr: Ipv4Addr) -> bool;
@@ -290,8 +295,9 @@ pub trait HostSpawner {
     fn spawn(&mut self, addr: Ipv4Addr) -> Option<Box<dyn Agent>>;
     /// Whether the host at `addr` serves `port` over `transport`, answered
     /// without spawning it. `None` means no knowledge and keeps the full
-    /// delivery path; `Some` may only be returned for occupied addresses.
-    /// Must be stable, like [`Self::occupied`].
+    /// delivery path; `Some` may only be returned for occupied addresses,
+    /// and means the host is there. Must be stable, like
+    /// [`Self::occupied`].
     fn serves(&self, addr: Ipv4Addr, transport: Transport, port: u16) -> Option<bool> {
         let _ = (addr, transport, port);
         None
@@ -509,8 +515,9 @@ impl Fabric {
     /// SYN into unoccupied space or to a port the spawner host does not
     /// serve is answered here and now: the timeout or refusal the full path
     /// would deliver is counted, and nothing is stored or scheduled. The
-    /// refusal must beat the backstop for this to hold; every other probe
-    /// is a plain [`Self::tcp_connect`].
+    /// refusal must beat the backstop for this to hold. Every other probe
+    /// opens a connection as [`Self::tcp_connect`] does; without faults the
+    /// host lookup made here is not repeated.
     pub(crate) fn tcp_probe(
         &mut self,
         client: AgentId,
@@ -519,30 +526,36 @@ impl Fabric {
         dst: SockAddr,
         tag: u64,
     ) {
-        if self.cfg.faults.is_none() {
-            let latency = self.cfg.latency.one_way(client_addr, dst.addr);
-            let refused = match self.reach(dst, Transport::Tcp) {
-                Reach::Empty => Some(false),
-                Reach::Unserved if self.answer_beats_backstop(latency) => Some(true),
-                _ => None,
-            };
-            if let Some(refused) = refused {
-                self.counters.syns_sent += 1;
-                self.egress[client.0 as usize].tcp_initiated += 1;
-                self.observe_syn(client, SockAddr::new(client_addr, src_port), dst);
-                if refused {
-                    // SynArrive (the agent refuses), ConnOutcome, backstop.
-                    self.counters.conns_refused += 1;
-                    self.counters.events_elided += 3;
-                } else {
-                    // The ConnTimeout backstop.
-                    self.counters.conn_timeouts += 1;
-                    self.counters.events_elided += 1;
-                }
+        if !self.cfg.faults.is_none() {
+            self.tcp_connect(client, client_addr, src_port, dst, tag);
+            return;
+        }
+        let refused = match self.reach(dst, Transport::Tcp) {
+            Reach::Empty => false,
+            Reach::Unserved
+                if self.answer_beats_backstop(self.cfg.latency.one_way(client_addr, dst.addr)) =>
+            {
+                true
+            }
+            // A host is there, serving the port or refusing too late to
+            // beat the backstop: the full path, without a second lookup.
+            _ => {
+                self.open_conn(client, client_addr, src_port, dst, tag, Some(true));
                 return;
             }
+        };
+        self.counters.syns_sent += 1;
+        self.egress[client.0 as usize].tcp_initiated += 1;
+        self.observe_syn(client, SockAddr::new(client_addr, src_port), dst);
+        if refused {
+            // SynArrive (the agent refuses), ConnOutcome, backstop.
+            self.counters.conns_refused += 1;
+            self.counters.events_elided += 3;
+        } else {
+            // The ConnTimeout backstop.
+            self.counters.conn_timeouts += 1;
+            self.counters.events_elided += 1;
         }
-        self.tcp_connect(client, client_addr, src_port, dst, tag);
     }
 
     /// Whether a host's answer to a SYN, two one-way `latency`s after it
@@ -559,6 +572,21 @@ impl Fabric {
         src_port: u16,
         dst: SockAddr,
         tag: u64,
+    ) -> ConnToken {
+        self.open_conn(client, client_addr, src_port, dst, tag, None)
+    }
+
+    /// Open a connection toward `dst`. `present` is whether a host is at
+    /// `dst`, when the caller already knows; `None` looks it up if the SYN
+    /// is delivered.
+    fn open_conn(
+        &mut self,
+        client: AgentId,
+        client_addr: Ipv4Addr,
+        src_port: u16,
+        dst: SockAddr,
+        tag: u64,
+        present: Option<bool>,
     ) -> ConnToken {
         let latency = self.cfg.latency.one_way(client_addr, dst.addr);
         let client_sock = SockAddr::new(client_addr, src_port);
@@ -599,7 +627,8 @@ impl Fabric {
             self.observe_syn(client, client_sock, dst);
         }
         let now = self.queue.now();
-        let delivered = verdict == SynVerdict::Deliver && self.host_present(dst.addr);
+        let delivered = verdict == SynVerdict::Deliver
+            && present.unwrap_or_else(|| self.host_present(dst.addr));
         // The timeout backstop catches SYNs nobody answers. Without faults
         // a delivered SYN is always answered (SynArrive schedules a
         // ConnOutcome), so the backstop is only needed when the answer
@@ -850,20 +879,27 @@ impl Fabric {
             || self.spawner.as_ref().is_some_and(|s| s.occupied(addr))
     }
 
-    /// Where traffic to `dst` over `transport` would land. A spawner host
-    /// is asked about its port even once materialized: its agent's guards
-    /// are the spawner's answer. Never materializes anything.
+    /// Where traffic to `dst` over `transport` would land. The spawner is
+    /// asked first, even about a host it has materialized (its agent's
+    /// guards are the spawner's answer): a `Some` answer also settles
+    /// presence, so a spawner host costs one lookup. Only on `None` are the
+    /// attached hosts and the spawner's occupancy consulted. Never
+    /// materializes anything.
     fn reach(&self, dst: SockAddr, transport: Transport) -> Reach {
-        if !self.host_present(dst.addr) {
-            return Reach::Empty;
+        if let Some(spawner) = &self.spawner {
+            if let Some(serves) = spawner.serves(dst.addr, transport, dst.port) {
+                debug_assert!(
+                    spawner.occupied(dst.addr),
+                    "HostSpawner::serves answered for unoccupied {}",
+                    dst.addr
+                );
+                return if serves { Reach::Host } else { Reach::Unserved };
+            }
         }
-        match self
-            .spawner
-            .as_ref()
-            .and_then(|s| s.serves(dst.addr, transport, dst.port))
-        {
-            Some(false) => Reach::Unserved,
-            _ => Reach::Host,
+        if self.host_present(dst.addr) {
+            Reach::Host
+        } else {
+            Reach::Empty
         }
     }
 

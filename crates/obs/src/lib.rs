@@ -258,18 +258,19 @@ pub fn observe(name: &'static str, v: u64) {
     with_obs(|o| o.metrics.observe(name, "", v));
 }
 
-/// Record `v` into labeled histogram `name{label}`.
-#[inline]
-pub fn observe_l(name: &'static str, label: &'static str, v: u64) {
-    with_obs(|o| o.metrics.observe(name, label, v));
-}
-
 /// Fold a locally-accumulated histogram into `name`. The batched form of
 /// [`observe`] for hot paths: per-sample code records into a private
 /// [`Histogram`] it owns (one bucket bump, no thread-local access, no key
 /// lookup), and flushes here once per phase.
 pub fn observe_hist(name: &'static str, h: &Histogram) {
-    with_obs(|o| o.metrics.absorb_histogram(name, "", h));
+    observe_hist_l(name, "", h);
+}
+
+/// Fold a locally-accumulated histogram into labeled histogram
+/// `name{label}`, as [`observe_hist`] does for unlabeled ones. An empty
+/// histogram records nothing, so no key appears for it.
+pub fn observe_hist_l(name: &'static str, label: &'static str, h: &Histogram) {
+    with_obs(|o| o.metrics.absorb_histogram(name, label, h));
 }
 
 /// Record a tracing span. `seq` is assigned by the ring; pass 0.
@@ -353,9 +354,28 @@ mod tests {
     fn recording_is_noop_without_install() {
         // Must not panic or leak state.
         count("x", 1);
-        observe_l("h", "l", 5);
+        let mut h = Histogram::default();
+        h.record(5);
+        observe_hist_l("h", "l", &h);
         span("k", "l", 1, 2, 0, 0, 0, 0);
         assert!(!enabled());
+    }
+
+    #[test]
+    fn folded_histograms_match_per_sample_recording() {
+        let mut local = Histogram::default();
+        let per_sample = install(ShardObs::new(8));
+        for v in [3, 17, 900, 17] {
+            with_obs(|o| o.metrics.observe("bytes", "tcp", v));
+            local.record(v);
+        }
+        let want = per_sample.finish();
+        let folded = install(ShardObs::new(8));
+        observe_hist_l("bytes", "tcp", &local);
+        observe_hist_l("bytes", "udp", &Histogram::default());
+        let got = folded.finish();
+        assert_eq!(got.metrics.histogram("bytes", "tcp"), want.metrics.histogram("bytes", "tcp"));
+        assert!(got.metrics.histogram("bytes", "udp").is_none(), "an empty fold made a key");
     }
 
     #[test]

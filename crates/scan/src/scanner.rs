@@ -243,6 +243,9 @@ struct Sweep {
     pending_ports: Vec<(Ipv4Addr, u16)>,
     exhausted: bool,
     probes_sent: u64,
+    /// Sizes of the responses recorded so far, tallied here and folded
+    /// into the metrics by [`Scanner::flush_obs`].
+    responses: ofh_obs::Histogram,
 }
 
 struct Grab {
@@ -339,6 +342,7 @@ impl Scanner {
                 pending_ports: Vec::new(),
                 exhausted: false,
                 probes_sent: 0,
+                responses: ofh_obs::Histogram::default(),
             });
         }
         let udp_track = Self::build_udp_tracker(&sweeps);
@@ -432,6 +436,22 @@ impl Scanner {
     /// Total probes issued so far.
     pub fn probes_sent(&self) -> u64 {
         self.sweeps.iter().map(|s| s.probes_sent).sum()
+    }
+
+    /// Fold the response tallies into the installed metrics as
+    /// `scan.response.recorded{protocol}` and `scan.response_bytes{protocol}`,
+    /// and reset them. Call once the scanner is done, while its shard's
+    /// observability target is still installed. A sweep that recorded no
+    /// response records nothing.
+    pub fn flush_obs(&mut self) {
+        for sweep in &mut self.sweeps {
+            let responses = std::mem::take(&mut sweep.responses);
+            if responses.count > 0 {
+                let protocol = sweep.cfg.protocol.name();
+                ofh_obs::count_l("scan.response.recorded", protocol, responses.count);
+                ofh_obs::observe_hist_l("scan.response_bytes", protocol, &responses);
+            }
+        }
     }
 
     /// Conservatively estimate when the last sweep's probing finishes.
@@ -580,9 +600,9 @@ impl Scanner {
         if grab.attempt > 0 {
             self.resilience.retries_recovered += 1;
         }
-        let protocol = self.sweeps[grab.sweep].cfg.protocol;
-        ofh_obs::count_l("scan.response.recorded", protocol.name(), 1);
-        ofh_obs::observe_l("scan.response_bytes", protocol.name(), grab.buf.len() as u64);
+        let sweep = &mut self.sweeps[grab.sweep];
+        let protocol = sweep.cfg.protocol;
+        sweep.responses.record(grab.buf.len() as u64);
         ofh_obs::span(
             "scan.grab",
             protocol.name(),
@@ -722,9 +742,9 @@ impl Agent for Scanner {
         let Some(sweep_idx) = self.udp_response_sweep(peer.addr, peer.port) else {
             return;
         };
-        let protocol = self.sweeps[sweep_idx].cfg.protocol;
-        ofh_obs::count_l("scan.response.recorded", protocol.name(), 1);
-        ofh_obs::observe_l("scan.response_bytes", protocol.name(), payload.len() as u64);
+        let sweep = &mut self.sweeps[sweep_idx];
+        let protocol = sweep.cfg.protocol;
+        sweep.responses.record(payload.len() as u64);
         ofh_obs::span(
             "scan.grab",
             protocol.name(),

@@ -10,6 +10,9 @@ use ofh_net::FlowObservation;
 
 use crate::flowtuple::FlowTuple;
 
+/// The `telescope.flow` labels, in the order `Telescope::obs_flows` counts.
+const TRANSPORTS: [&str; 2] = ["tcp", "udp"];
+
 /// The telescope: attach as a [`FlowTap`] over the universe's dark space.
 ///
 /// Records are grouped into per-minute files ("the files are stored on a
@@ -20,6 +23,10 @@ pub struct Telescope {
     /// Read-only annotation source, shared by every tap of a sharded study.
     geo: Arc<GeoDb>,
     total: u64,
+    /// Flows observed per transport (TCP, UDP) and their IP lengths,
+    /// tallied here and folded into the metrics by [`Telescope::flush_obs`].
+    obs_flows: [u64; 2],
+    obs_ip_len: ofh_obs::Histogram,
 }
 
 impl Telescope {
@@ -30,7 +37,24 @@ impl Telescope {
             minutes: BTreeMap::new(),
             geo: geo.into(),
             total: 0,
+            obs_flows: [0; 2],
+            obs_ip_len: ofh_obs::Histogram::default(),
         }
+    }
+
+    /// Fold the flow tallies into the installed metrics as
+    /// `telescope.flow{transport}` and `telescope.ip_len`, and reset them.
+    /// Call once capture is over, while the shard's observability target
+    /// is still installed. A transport with no flow records nothing.
+    pub fn flush_obs(&mut self) {
+        for (transport, flows) in TRANSPORTS.into_iter().zip(self.obs_flows) {
+            if flows > 0 {
+                ofh_obs::count_l("telescope.flow", transport, flows);
+            }
+        }
+        ofh_obs::observe_hist("telescope.ip_len", &self.obs_ip_len);
+        self.obs_flows = [0; 2];
+        self.obs_ip_len = ofh_obs::Histogram::default();
     }
 
     /// Total records captured.
@@ -96,12 +120,13 @@ impl Telescope {
 
 impl FlowTap for Telescope {
     fn observe(&mut self, obs: &FlowObservation) {
-        let transport = match obs.transport {
-            ofh_net::Transport::Tcp => "tcp",
-            ofh_net::Transport::Udp => "udp",
+        let tally = match obs.transport {
+            ofh_net::Transport::Tcp => 0,
+            ofh_net::Transport::Udp => 1,
         };
-        ofh_obs::count_l("telescope.flow", transport, 1);
-        ofh_obs::observe("telescope.ip_len", obs.ip_len as u64);
+        let transport = TRANSPORTS[tally];
+        self.obs_flows[tally] += 1;
+        self.obs_ip_len.record(obs.ip_len as u64);
         ofh_obs::span(
             "telescope.flow",
             transport,

@@ -216,58 +216,78 @@ fn config_for(preset: &str, seed: u64) -> Result<StudyConfig, String> {
     }
 }
 
-fn print_table(report: &StudyReport, which: &str) -> Result<(), String> {
-    let text = match which {
-        "4" => report.table4.render(),
-        "5" => report.table5.render(),
-        "6" => report.render_table6(),
-        "7" => report.table7.render(),
-        "8" => report.render_table8(),
-        "10" => report.table10.render(),
-        "12" => report.table12.render(),
-        "13" => report.table13.render(),
+/// Prints what a study-running command asked for, once the study is done.
+type Printer = Box<dyn Fn(&StudyReport) -> Result<(), String>>;
+
+/// Resolve a study-running command and its target to the printer that
+/// serves it. Called before the study runs, so an unknown command or
+/// target fails at once instead of after the whole study.
+fn printer_for(args: &Args) -> Result<Printer, String> {
+    let target = args.target.as_deref();
+    match args.command.as_str() {
+        "study" if args.summary => Ok(print_text(|r| r.render_summary())),
+        "study" => Ok(print_text(|r| r.render_full())),
+        "table" => table(target.ok_or("table: which one?")?),
+        "figure" => figure(target.ok_or("figure: which one?")?),
+        "export" => export(target.ok_or("export: which dataset?")?),
+        other => Err(format!("unknown command {other:?}\n\n{}", usage())),
+    }
+}
+
+/// A printer for one rendered text and its newline.
+fn print_text(render: fn(&StudyReport) -> String) -> Printer {
+    Box::new(move |r| {
+        println!("{}", render(r));
+        Ok(())
+    })
+}
+
+fn table(which: &str) -> Result<Printer, String> {
+    Ok(print_text(match which {
+        "4" => |r| r.table4.render(),
+        "5" => |r| r.table5.render(),
+        "6" => |r| r.render_table6(),
+        "7" => |r| r.table7.render(),
+        "8" => |r| r.render_table8(),
+        "10" => |r| r.table10.render(),
+        "12" => |r| r.table12.render(),
+        "13" => |r| r.table13.render(),
         other => return Err(format!("no table {other} (4|5|6|7|8|10|12|13)")),
-    };
-    println!("{text}");
-    Ok(())
+    }))
 }
 
-fn print_figure(report: &StudyReport, which: &str) -> Result<(), String> {
-    let text = match which {
-        "2" => report.fig2.render(),
-        "3" => report.fig3.render(),
-        "4" => report.breakdown.render_fig4(),
-        "5" => report.fig5.render(),
-        "6" => report.fig6.render(),
-        "7" => report.breakdown.render_fig7(),
-        "8" => report.fig8.render(),
-        "9" => report.fig9.render(),
+fn figure(which: &str) -> Result<Printer, String> {
+    Ok(print_text(match which {
+        "2" => |r| r.fig2.render(),
+        "3" => |r| r.fig3.render(),
+        "4" => |r| r.breakdown.render_fig4(),
+        "5" => |r| r.fig5.render(),
+        "6" => |r| r.fig6.render(),
+        "7" => |r| r.breakdown.render_fig7(),
+        "8" => |r| r.fig8.render(),
+        "9" => |r| r.fig9.render(),
         other => return Err(format!("no figure {other} (2..=9)")),
-    };
-    println!("{text}");
-    Ok(())
+    }))
 }
 
-fn export(report: &StudyReport, which: &str) -> Result<(), String> {
-    match which {
-        "scan" => print!("{}", report.zmap_results.to_jsonl()),
-        "events" => {
-            for event in &report.dataset.events {
-                println!(
-                    "{}",
-                    serde_json::to_string(event).map_err(|e| e.to_string())?
-                );
-            }
-        }
-        "flowtuples" => {
-            for record in report.telescope.records() {
-                println!(
-                    "{}",
-                    serde_json::to_string(record).map_err(|e| e.to_string())?
-                );
-            }
-        }
+fn export(which: &str) -> Result<Printer, String> {
+    Ok(match which {
+        "scan" => Box::new(|r| {
+            print!("{}", r.zmap_results.to_jsonl());
+            Ok(())
+        }),
+        "events" => Box::new(|r| print_jsonl(&r.dataset.events)),
+        "flowtuples" => Box::new(|r| print_jsonl(r.telescope.records())),
         other => return Err(format!("no dataset {other} (scan|events|flowtuples)")),
+    })
+}
+
+/// Print each row as one line of JSON.
+fn print_jsonl<'a, T: serde::Serialize + 'a>(
+    rows: impl IntoIterator<Item = &'a T>,
+) -> Result<(), String> {
+    for row in rows {
+        println!("{}", serde_json::to_string(row).map_err(|e| e.to_string())?);
     }
     Ok(())
 }
@@ -439,6 +459,7 @@ fn run() -> Result<(), String> {
         println!("{}", usage());
         return Ok(());
     }
+    let print = printer_for(&args)?;
     let mut cfg = config_for(&args.preset, args.seed)?;
     if let Some(shards) = args.shards {
         cfg.shards = shards;
@@ -497,20 +518,7 @@ fn run() -> Result<(), String> {
             .map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote columnar store to {path} ({bytes} bytes)");
     }
-    match args.command.as_str() {
-        "study" => {
-            if args.summary {
-                println!("{}", report.render_summary());
-            } else {
-                println!("{}", report.render_full());
-            }
-            Ok(())
-        }
-        "table" => print_table(&report, args.target.as_deref().ok_or("table: which one?")?),
-        "figure" => print_figure(&report, args.target.as_deref().ok_or("figure: which one?")?),
-        "export" => export(&report, args.target.as_deref().ok_or("export: which dataset?")?),
-        other => Err(format!("unknown command {other:?}\n\n{}", usage())),
-    }
+    print(&report)
 }
 
 fn main() -> ExitCode {
