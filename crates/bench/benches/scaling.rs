@@ -15,13 +15,15 @@
 //!   16 workers only at shards ≥ 64) at a small fixed per-shard cost,
 //!   visible in the `workers=1` rows.
 //! * `host_cores` bounds every curve: on a 1-core container all curves are
-//!   flat and the grid only records scheduler overhead. Cells whose
+//!   flat and the grid only records threads time-slicing. Cells whose
 //!   effective worker count (`min(workers, shards)`) exceeds `host_cores`
 //!   are marked `flat_curve_expected: true` so curve consumers don't read
 //!   their `speedup_x` as a regression.
 //!
 //! Each preset runs one untimed study before its grid, so the first timed
 //! cell (a `workers=1` baseline) is not also the process's first study.
+//! Each cell is the best of 5 studies and paper-scale the best of 3, so one
+//! slow study cannot set a cell. The mini grid takes one study per cell.
 //!
 //! Modes: `cargo bench -p ofh-bench --bench scaling` times the full grid;
 //! `BENCH_SCALING_MINI=1` runs a bounded 2×2 quick-only grid (CI exercises
@@ -44,7 +46,7 @@ struct Cell {
     /// worker count (workers capped at shards) exceeds the host's cores,
     /// so the extra threads time-slice one another. On a 1-core host every
     /// multi-worker cell carries this flag — `speedup_x` there records
-    /// scheduler overhead, not a scaling defect.
+    /// threads time-slicing, not a scaling defect.
     flat_curve_expected: bool,
 }
 
@@ -52,6 +54,7 @@ fn preset_cfg(preset: &str, seed: u64) -> StudyConfig {
     match preset {
         "quick" => StudyConfig::quick(seed),
         "paper-smoke" => StudyConfig::paper_smoke(seed),
+        "paper-scale" => StudyConfig::paper_scale(seed),
         other => unreachable!("no preset {other} in the scaling grid"),
     }
 }
@@ -93,10 +96,10 @@ fn main() {
         ]
     } else {
         vec![
-            ("quick", 16, vec![1, 2, 4, 8, 16], 2),
-            ("quick", 64, vec![1, 2, 4, 8, 16, 32, 64], 2),
-            ("paper-smoke", 16, vec![1, 4, 16], 2),
-            ("paper-smoke", 64, vec![1, 4, 16, 32, 64], 2),
+            ("quick", 16, vec![1, 2, 4, 8, 16], 5),
+            ("quick", 64, vec![1, 2, 4, 8, 16, 32, 64], 5),
+            ("paper-smoke", 16, vec![1, 4, 16], 5),
+            ("paper-smoke", 64, vec![1, 4, 16, 32, 64], 5),
         ]
     };
 
@@ -126,16 +129,11 @@ fn main() {
     }
 
     // Paper-scale is minutes, not seconds: only on request, shards=64,
-    // workers=0 (one per core — the documented way to run it).
+    // workers=0 (one per core — the documented way to run it), best of 3.
     let paper_scale = std::env::var_os("BENCH_SCALING_FULL").map(|_| {
         println!("timing paper-scale at shards=64, workers=0 (BENCH_SCALING_FULL set)...");
-        let mut cfg = StudyConfig::paper_scale(7);
-        cfg.workers = 0;
-        let t0 = Instant::now();
-        let report = Study::new(cfg).run();
-        black_box(report.counters.events_processed);
-        let s = t0.elapsed().as_secs_f64();
-        println!("bench scaling/paper-scale/shards=64/workers={cores}: {s:.1} s");
+        let s = time_cell("paper-scale", 64, 0, 3);
+        println!("bench scaling/paper-scale/shards=64/workers={cores}: {s:.1} s (best of 3)");
         s
     });
 
@@ -151,9 +149,10 @@ fn main() {
          min(host_cores, shards) — cells where the effective worker count exceeds \
          host_cores carry flat_curve_expected: true, and on a 1-core host that is \
          every multi-worker cell (wall clock may even rise with workers there, \
-         which is scheduler overhead, not a scaling defect). --workers 0 \
+         which is threads time-slicing, not a scaling defect). --workers 0 \
          auto-selects min(host_cores, shards), so auto runs never enter the \
-         flat region.\",\n",
+         flat region. Each cell is the best of 5 studies (1 in the mini grid) \
+         and paper_scale_shards64_s the best of 3.\",\n",
     );
     json.push_str("  \"cells\": [\n");
     for (i, c) in cells.iter().enumerate() {

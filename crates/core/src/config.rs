@@ -201,8 +201,8 @@ impl StudyConfig {
     /// Resolved worker-thread count: `workers` capped at the shard count
     /// (extra threads would idle). `0` means auto: `min(host cores,
     /// shards)` — never more threads than cores, since past that point
-    /// extra workers only add scheduler contention (BENCH_scaling.json
-    /// records the flat curve on a 1-core host).
+    /// extra workers only time-slice one another (BENCH_scaling.json
+    /// marks those cells `flat_curve_expected`).
     pub fn worker_threads(&self) -> usize {
         let requested = if self.workers == 0 {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)

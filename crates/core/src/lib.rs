@@ -27,11 +27,9 @@
 pub mod config;
 pub mod oracles;
 pub mod report;
-pub mod scheduler;
 pub mod study;
 
 pub use config::{faults_from_arg, PopulationMode, StudyConfig};
-pub use scheduler::ShardScheduler;
 pub use report::{ResilienceReport, StudyReport};
 pub use study::Study;
 

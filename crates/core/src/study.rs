@@ -26,6 +26,7 @@
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use ofh_analysis::events::AttackDataset;
@@ -444,51 +445,34 @@ impl Study {
             geo: &geo,
             live,
         };
-        let mut steals_total: u64 = 0;
-        let mut outputs: Vec<(u32, ShardOutput)> = if workers == 1 {
-            ShardSpec::all(cfg.shards)
-                .map(|spec| (spec.index, run_shard(&inputs, spec)))
-                .collect()
-        } else {
-            // Work-stealing scheduler: each worker drains a contiguous
-            // block of shards and steals the back half of the fullest
-            // sibling when it runs dry (see `crate::scheduler`). Which
-            // worker runs which shard is scheduling-dependent, but each
-            // shard's simulation is a pure function of (inputs, spec) and
-            // results are re-ordered by shard index below, so the merge
-            // never sees the difference.
-            let scheduler = crate::scheduler::ShardScheduler::new(cfg.shards, workers);
-            let outputs = std::thread::scope(|scope| {
-                let scheduler = &scheduler;
-                let inputs = &inputs;
-                let shards = cfg.shards;
-                let handles: Vec<_> = (0..workers)
-                    .map(|worker| {
-                        scope.spawn(move || {
-                            let mut done = Vec::new();
-                            while let Some(index) = scheduler.next(worker) {
-                                let spec = ShardSpec { index, count: shards };
-                                done.push((index, run_shard(inputs, spec)));
-                                // Keep the reporter's steal count current.
-                                if let Some(lp) = &inputs.live {
-                                    lp.steals.store(
-                                        scheduler.steals(),
-                                        std::sync::atomic::Ordering::Relaxed,
-                                    );
-                                }
-                            }
-                            done
+        // Each worker takes the next unclaimed shard index from one shared
+        // counter until none is left. Which worker runs which shard depends
+        // on thread timing, but each shard's simulation is a pure function
+        // of (inputs, spec) and the outputs are sorted by shard index below,
+        // so the merge never sees the difference. `Relaxed` suffices: the
+        // counter publishes no data, and the scope's spawn and join order
+        // the inputs and outputs.
+        let next = AtomicU32::new(0);
+        let mut outputs: Vec<(u32, ShardOutput)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        std::iter::from_fn(|| {
+                            let index = next.fetch_add(1, Ordering::Relaxed);
+                            (index < cfg.shards).then_some(index)
                         })
+                        .map(|index| {
+                            (index, run_shard(&inputs, ShardSpec { index, count: cfg.shards }))
+                        })
+                        .collect::<Vec<_>>()
                     })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("shard worker panicked"))
-                    .collect()
-            });
-            steals_total = scheduler.steals();
-            outputs
-        };
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("shard worker panicked"))
+                .collect()
+        });
         if let Some(r) = reporter {
             r.stop();
         }
@@ -496,6 +480,10 @@ impl Study {
         // borrow of `geo` so the merge can unwrap it.
         drop(inputs);
         outputs.sort_by_key(|(index, _)| *index);
+        debug_assert!(
+            outputs.iter().map(|(index, _)| *index).eq(0..cfg.shards),
+            "every shard must run exactly once"
+        );
         let mut simulate_node = ProfileNode::new("simulate");
         simulate_node.wall_ns = simulate_sw.elapsed().as_nanos() as u64;
 
@@ -654,7 +642,6 @@ impl Study {
             per_shard_events,
         );
         metrics.host.workers = workers as u64;
-        metrics.host.steals = steals_total;
         metrics.host.profile = profile;
 
         StudyReport {
@@ -701,9 +688,9 @@ fn run_shard(inputs: &ShardInputs<'_>, spec: ShardSpec) -> ShardOutput {
     let records = inputs.records;
 
     // Install this shard's recording target for the duration of its
-    // simulation. A shard runs to completion on one thread (the dispenser
-    // never migrates one mid-run), so everything the instrumented crates
-    // record below lands in this shard's private registry and ring.
+    // simulation. A shard runs to completion on the worker thread that took
+    // it, so everything the instrumented crates record below lands in this
+    // shard's private registry and ring.
     let obs_guard = cfg
         .obs
         .enabled

@@ -18,7 +18,8 @@
 //!   deterministic — traces. The count is serialized with the config.
 //! * **Worker count is a pure execution knob.** For a *fixed* shard count
 //!   the report is byte-identical at any worker count (see
-//!   `tests/scaling_determinism.rs`), which is why it is `#[serde(skip)]`.
+//!   `tests/parallel_determinism.rs` and ci.sh's scaling-smoke stage),
+//!   which is why it is `#[serde(skip)]`.
 //!
 //! The hash (rather than a contiguous range split) matters: populations are
 //! geographically clustered in address space, and a range split would give

@@ -347,16 +347,9 @@ pub struct Fabric {
     spawner: Option<Box<dyn HostSpawner>>,
     pub(crate) rng: StdRng,
     cfg: SimNetConfig,
+    /// Observation taps in registration order. A study's shard holds one
+    /// (the telescope), so a linear scan is the whole lookup.
     taps: Vec<(Cidr, Box<dyn FlowTap>)>,
-    /// Interval index over `taps`: entries `(start, end, tap_idx)` sorted by
-    /// start address, with a running prefix maximum of `end` for early
-    /// termination. Rebuilt on `add_tap`. Lookup collects matching tap
-    /// indices and dispatches them in insertion order, so adding the index
-    /// changes nothing observable.
-    tap_index: Vec<(u32, u32, u32)>,
-    tap_max_end: Vec<u32>,
-    /// Scratch for matching tap indices (avoids a per-packet alloc).
-    tap_hits: Vec<u32>,
     pub counters: Counters,
     /// Locally-accumulated observability for the hot send paths; folded into
     /// the installed registry once per phase by [`SimNet::flush_obs`] so the
@@ -410,26 +403,6 @@ impl Fabric {
         5 + (h % 25) as u8
     }
 
-    /// Rebuild the tap interval index after registration changes.
-    fn rebuild_tap_index(&mut self) {
-        self.tap_index = self
-            .taps
-            .iter()
-            .enumerate()
-            .map(|(i, (range, _))| (u32::from(range.first()), u32::from(range.last()), i as u32))
-            .collect();
-        self.tap_index.sort_unstable();
-        let mut max_end = 0u32;
-        self.tap_max_end = self
-            .tap_index
-            .iter()
-            .map(|&(_, end, _)| {
-                max_end = max_end.max(end);
-                max_end
-            })
-            .collect();
-    }
-
     fn observe(
         &mut self,
         src: SockAddr,
@@ -442,30 +415,10 @@ impl Fabric {
         payload: &Payload,
         spoofed: bool,
     ) {
-        if self.taps.is_empty() {
+        // The observation is built only when some tap covers `dst`.
+        let Some(first) = self.taps.iter().position(|(range, _)| range.contains(dst.addr)) else {
             return;
-        }
-        // Interval lookup: walk backwards from the last range starting at or
-        // before `dst`; the prefix maximum of range ends bounds how far back
-        // a covering range can sit, so disjoint taps terminate in O(log n).
-        let d = u32::from(dst.addr);
-        let mut i = self.tap_index.partition_point(|&(start, _, _)| start <= d);
-        self.tap_hits.clear();
-        while i > 0 {
-            i -= 1;
-            if self.tap_max_end[i] < d {
-                break;
-            }
-            let (_, end, idx) = self.tap_index[i];
-            if end >= d {
-                self.tap_hits.push(idx);
-            }
-        }
-        if self.tap_hits.is_empty() {
-            return;
-        }
-        // Registration order, exactly as the linear scan dispatched.
-        self.tap_hits.sort_unstable();
+        };
         let header = match transport {
             Transport::Tcp => 40,
             Transport::Udp => 28,
@@ -487,11 +440,11 @@ impl Fabric {
             payload: payload.clone(), // refcount bump, not a byte copy
             spoofed,
         };
-        let hits = std::mem::take(&mut self.tap_hits);
-        for &idx in &hits {
-            self.taps[idx as usize].1.observe(&obs);
+        for (range, tap) in &mut self.taps[first..] {
+            if range.contains(dst.addr) {
+                tap.observe(&obs);
+            }
         }
-        self.tap_hits = hits;
     }
 
     /// A SYN on the wire toward `dst`, as every tap covering `dst` sees it.
@@ -1063,9 +1016,6 @@ impl SimNet {
                 rng,
                 cfg,
                 taps: Vec::new(),
-                tap_index: Vec::new(),
-                tap_max_end: Vec::new(),
-                tap_hits: Vec::new(),
                 counters: Counters::default(),
                 obs_conns_peak: 0,
                 obs_tcp_bytes: ofh_obs::Histogram::default(),
@@ -1141,7 +1091,6 @@ impl SimNet {
     /// Register a passive observation tap over `range`.
     pub fn add_tap(&mut self, range: Cidr, tap: Box<dyn FlowTap>) -> TapId {
         self.fabric.taps.push((range, tap));
-        self.fabric.rebuild_tap_index();
         TapId(self.fabric.taps.len() - 1)
     }
 
@@ -1730,6 +1679,44 @@ mod tests {
         assert_eq!(f.transport, Transport::Tcp);
         assert_eq!(f.tcp_flags, FlowObservation::SYN);
         assert!(f.ttl < 64, "TTL must be decremented by hop count");
+    }
+
+    #[test]
+    fn overlapping_taps_see_their_ranges_in_registration_order() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        type Log = Rc<RefCell<Vec<(&'static str, Ipv4Addr)>>>;
+        struct Named {
+            name: &'static str,
+            log: Log,
+        }
+        impl FlowTap for Named {
+            fn observe(&mut self, obs: &FlowObservation) {
+                self.log.borrow_mut().push((self.name, obs.dst));
+            }
+        }
+        let log: Log = Rc::default();
+        let mut net = net();
+        // Narrow first, so registration order is not address order.
+        for (name, range) in [("/16", "44.1.0.0/16"), ("/8", "44.0.0.0/8"), ("disjoint", "45.0.0.0/8")] {
+            let tap = Named { name, log: Rc::clone(&log) };
+            net.add_tap(range.parse().unwrap(), Box::new(tap));
+        }
+        let targets = [ip(44, 1, 2, 3), ip(44, 9, 9, 9), ip(45, 0, 0, 1), ip(46, 0, 0, 1)];
+        for (i, &dst) in (2u8..).zip(&targets) {
+            net.attach(ip(10, 0, 0, i), Box::new(Client::new(SockAddr::new(dst, 23))));
+        }
+        net.run_until(SimTime(10_000));
+
+        let log = log.borrow();
+        let seen_by = |dst: Ipv4Addr| -> Vec<&str> {
+            log.iter().filter(|&&(_, d)| d == dst).map(|&(name, _)| name).collect()
+        };
+        assert_eq!(seen_by(targets[0]), ["/16", "/8"], "both covering taps, in registration order");
+        assert_eq!(seen_by(targets[1]), ["/8"]);
+        assert_eq!(seen_by(targets[2]), ["disjoint"]);
+        assert!(seen_by(targets[3]).is_empty(), "no tap covers 46/8");
+        assert_eq!(log.len(), 4, "one SYN per covering tap, nothing else");
     }
 
     #[test]

@@ -80,8 +80,9 @@ fn extreme_count_streams_stay_independent() {
 /// Balance and exact coverage across the whole elastic range, in one walk:
 /// a single histogram of `shard_of` over a contiguous 2^22 range shows (a)
 /// per-shard counts summing exactly to the range size at every count, and
-/// (b) every shard within [½, 2]× of its ideal share — the tolerance the
-/// work-stealing scheduler is built to absorb.
+/// (b) every shard within [½, 2]× of its ideal share — a spread the study's
+/// shard loop absorbs, since a worker done with a light shard takes the
+/// next one from the shared counter.
 #[test]
 fn elastic_counts_balance_within_tolerance_and_cover_exactly() {
     let base = u32::from(Ipv4Addr::new(16, 0, 0, 0));

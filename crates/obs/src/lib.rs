@@ -31,10 +31,10 @@
 //! Instrumented code calls the free functions ([`count`], [`observe`],
 //! [`span`], …), which record into whatever [`ShardObs`] is *installed* on
 //! the current thread — and no-op when none is. The pipeline installs one
-//! `ShardObs` per shard for the duration of that shard's simulation (shards
-//! never migrate threads mid-run), plus one on the coordinator thread for
-//! setup/merge/analysis-stage metrics. Unit tests and benches that never
-//! call [`install`] therefore run fully un-instrumented.
+//! `ShardObs` per shard for the duration of that shard's simulation, on the
+//! worker thread that runs it (shards never migrate threads mid-run). Unit
+//! tests and benches that never call [`install`] therefore run fully
+//! un-instrumented.
 //!
 //! Nothing here may perturb the simulation: recording takes no RNG draws,
 //! never reorders events, and reads no wall clock on the recording path.
@@ -175,45 +175,32 @@ thread_local! {
 
 /// Install `obs` as this thread's recording target until the returned guard
 /// is [`finish`](ObsGuard::finish)ed (which returns the populated `ShardObs`)
-/// or dropped. Installs nest: the previous target (if any) is saved and
-/// restored, so a single-worker run can interleave shard recording with the
-/// coordinator's own.
+/// or dropped. Installs do not nest: the study installs one target per shard
+/// on the worker thread that runs it and finishes it before that worker
+/// takes the next shard.
 #[must_use = "dropping the guard discards the recorded data; call finish()"]
 pub fn install(obs: ShardObs) -> ObsGuard {
     let prev = CURRENT.with(|c| c.borrow_mut().replace(obs));
-    ObsGuard { prev: Some(prev), done: false }
+    debug_assert!(prev.is_none(), "install: a recording target is already installed");
+    ObsGuard(())
 }
 
-/// Guard for an [`install`]; restores the previously installed target.
+/// Guard for an [`install`]; uninstalls the target on finish or drop.
 #[derive(Debug)]
-pub struct ObsGuard {
-    /// What was installed before us (restored on finish/drop). `None` after
-    /// finish.
-    prev: Option<Option<ShardObs>>,
-    done: bool,
-}
+pub struct ObsGuard(());
 
 impl ObsGuard {
-    /// Uninstall, restore the previous target, and hand back the recorded
-    /// data.
-    pub fn finish(mut self) -> ShardObs {
-        self.done = true;
-        let prev = self.prev.take().unwrap_or(None);
-        CURRENT.with(|c| {
-            let mut slot = c.borrow_mut();
-            let cur = slot.take().expect("ObsGuard::finish: nothing installed");
-            *slot = prev;
-            cur
-        })
+    /// Uninstall and hand back the recorded data.
+    pub fn finish(self) -> ShardObs {
+        CURRENT
+            .with(|c| c.borrow_mut().take())
+            .expect("ObsGuard::finish: nothing installed")
     }
 }
 
 impl Drop for ObsGuard {
     fn drop(&mut self) {
-        if !self.done {
-            let prev = self.prev.take().unwrap_or(None);
-            CURRENT.with(|c| *c.borrow_mut() = prev);
-        }
+        CURRENT.with(|c| c.borrow_mut().take());
     }
 }
 
@@ -396,34 +383,16 @@ mod tests {
     }
 
     #[test]
-    fn installs_nest_and_restore() {
-        let outer = install(ShardObs::new(8));
-        count("outer", 1);
+    fn dropped_guard_uninstalls() {
         {
-            let inner = install(ShardObs::new(8));
-            count("inner", 1);
-            let got = inner.finish();
-            assert_eq!(got.metrics.counter("inner", ""), 1);
-            assert_eq!(got.metrics.counter("outer", ""), 0);
-        }
-        // Outer target restored; keeps accumulating.
-        count("outer", 1);
-        let got = outer.finish();
-        assert_eq!(got.metrics.counter("outer", ""), 2);
-        assert_eq!(got.metrics.counter("inner", ""), 0);
-        assert!(!enabled());
-    }
-
-    #[test]
-    fn dropped_guard_restores_previous() {
-        let outer = install(ShardObs::new(8));
-        {
-            let _inner = install(ShardObs::new(8));
+            let _guard = install(ShardObs::new(8));
             count("lost", 1);
-            // _inner dropped without finish: data discarded, outer restored.
+            // Dropped without finish: the data is discarded.
         }
+        assert!(!enabled());
+        let guard = install(ShardObs::new(8));
         count("kept", 1);
-        let got = outer.finish();
+        let got = guard.finish();
         assert_eq!(got.metrics.counter("kept", ""), 1);
         assert_eq!(got.metrics.counter("lost", ""), 0);
     }

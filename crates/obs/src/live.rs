@@ -27,7 +27,10 @@ use std::time::{Duration, Instant};
 pub const DEFAULT_HEARTBEAT_MS: u64 = 500;
 
 /// Schema version stamped into every `--live-out` line.
-pub const LIVE_SCHEMA_VERSION: u32 = 1;
+///
+/// v2: samples drop the count of shards moved between workers (the
+/// study's shard loop moves none).
+pub const LIVE_SCHEMA_VERSION: u32 = 2;
 
 /// One shard's progress, published wait-free from the shard's thread and
 /// read (racily, which is fine — every field is monotone) by the reporter.
@@ -51,8 +54,6 @@ pub struct ProgressCell {
 #[derive(Debug)]
 pub struct LiveProgress {
     pub cells: Vec<Arc<ProgressCell>>,
-    /// Shards stolen between workers (from the scheduler).
-    pub steals: AtomicU64,
     /// Shards that have run to completion.
     pub shards_done: AtomicU64,
     /// Sim-time each shard must reach (the study end), for progress %.
@@ -67,7 +68,6 @@ pub struct LiveSample {
     pub events: u64,
     pub hosts_spawned: u64,
     pub conns_shed: u64,
-    pub steals: u64,
     pub shards_done: u64,
 }
 
@@ -75,7 +75,6 @@ impl LiveProgress {
     pub fn new(shards: u32, target_sim_ms: u64) -> LiveProgress {
         LiveProgress {
             cells: (0..shards).map(|_| Arc::new(ProgressCell::default())).collect(),
-            steals: AtomicU64::new(0),
             shards_done: AtomicU64::new(0),
             target_sim_ms: target_sim_ms.max(1),
         }
@@ -85,7 +84,6 @@ impl LiveProgress {
     /// the sample is a consistent-enough lower bound, never an invariant.
     pub fn sample(&self) -> LiveSample {
         let mut s = LiveSample {
-            steals: self.steals.load(Ordering::Relaxed),
             shards_done: self.shards_done.load(Ordering::Relaxed),
             ..LiveSample::default()
         };
@@ -266,13 +264,12 @@ fn run_reporter(progress: &LiveProgress, opts: &ReporterOptions, stop: &(Mutex<b
                 f,
                 "{{\"v\":{LIVE_SCHEMA_VERSION},\"kind\":\"live.sample\",\"wall_ms\":{wall_ms},\
                  \"pct\":{pct:.1},\"sim_ms\":{},\"events\":{},\"events_per_s\":{:.0},\
-                 \"hosts_spawned\":{},\"conns_shed\":{},\"steals\":{},\"shards_done\":{}}}",
+                 \"hosts_spawned\":{},\"conns_shed\":{},\"shards_done\":{}}}",
                 s.sim_ms_total,
                 s.events,
                 events_per_s,
                 s.hosts_spawned,
                 s.conns_shed,
-                s.steals,
                 s.shards_done,
             );
         }
@@ -329,12 +326,11 @@ fn heartbeat_line(
         None => "--".into(),
     };
     format!(
-        "[live] {pct:5.1}% | {} ev ({}/s) | {} hosts | {} shed | {} steals | {}/{} shards | eta {eta}",
+        "[live] {pct:5.1}% | {} ev ({}/s) | {} hosts | {} shed | {}/{} shards | eta {eta}",
         human(s.events),
         human(events_per_s as u64),
         human(s.hosts_spawned),
         human(s.conns_shed),
-        human(s.steals),
         s.shards_done,
         progress.cells.len(),
     )

@@ -5,9 +5,10 @@
 //! The split is the determinism contract made explicit: everything outside
 //! [`MetricsSnapshot::host`] is a pure function of `(seed, config)` —
 //! byte-identical across worker counts and across repeated runs. The `host`
-//! section (wall-clock profile, query latencies, steals, worker count)
-//! depends on the machine and the scheduler; [`MetricsSnapshot::zero_wall_clock`]
-//! blanks it so tests can compare the remainder byte-for-byte.
+//! section (wall-clock profile, query latencies, worker count, and the
+//! always-zero `steals`) depends on the machine and the scheduler;
+//! [`MetricsSnapshot::zero_wall_clock`] blanks it so tests can compare the
+//! remainder byte-for-byte.
 
 use std::collections::BTreeMap;
 
@@ -69,8 +70,10 @@ impl HistogramSnapshot {
 pub struct HostStats {
     /// Resolved worker-thread count of the run.
     pub workers: u64,
-    /// Shards executed by work-stealing rather than their home worker.
-    /// Depends on scheduler timing, hence volatile.
+    /// Always 0: the study's workers take shards from one shared counter,
+    /// so no shard is ever stolen. The field stays only because the
+    /// end-to-end benchmark (`e2ebench/`) reads it as its `core.steals`
+    /// metric; it can go with that metric.
     pub steals: u64,
     /// Wall-clock profile tree (stage → shard → phase).
     pub profile: ProfileNode,

@@ -1,6 +1,6 @@
-//! `openforhire obsdiff` fails closed on snapshots from another schema: a
-//! stale snapshot is an error with a message and exit code 1, never a
-//! panic and never a silent pass.
+//! `openforhire obsdiff` fails closed on snapshots from another schema and
+//! on files nested too deep to parse: each is an error with a message and
+//! exit code 1, never a panic, a stack overflow or a silent pass.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -47,5 +47,19 @@ fn schema_v2_snapshot_is_rejected_with_an_error() {
         assert!(stderr.contains("schema version mismatch"), "{stderr}");
         assert!(!stderr.contains("panicked"), "{stderr}");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn deeply_nested_file_is_rejected_with_an_error() {
+    let dir = std::env::temp_dir().join(format!("ofh-obsdiff-deep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let deep = dir.join("deep.json");
+    std::fs::write(&deep, "[".repeat(200_000) + &"]".repeat(200_000)).expect("write file");
+    let out = obsdiff(&deep, &deep);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with("error: "), "{stderr}");
+    assert!(!stderr.contains("overflowed"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
