@@ -1,5 +1,6 @@
 //! Golden-file determinism: the quick preset at seed 7 renders a
-//! byte-identical report, store, trace and scan export, forever.
+//! byte-identical report, store, trace and scan export, forever, and so
+//! does the paper-smoke preset at seed 7.
 //!
 //! [`determinism.rs`](determinism.rs) proves runs agree with *each other*;
 //! this test pins the output against checked-in references so an
@@ -27,6 +28,15 @@
 //! `--metrics-out` file keeps the wall clock, so regenerate this digest with
 //! `cargo test --release --test golden_report` and take the new value from
 //! the failed assertion's `left`, under the same condition.
+//!
+//! paper-smoke is the preset that runs the 2^32 address plan, the indexed
+//! sweeps and the first-touch agents of every device type, so its seed-7
+//! artifacts are pinned the same way, all by SHA-256. Regenerate the
+//! report, store and trace digests with
+//! `openforhire study --preset paper-smoke --seed 7 --store-out s --trace-out t > r`
+//! and `sha256sum r s t`, the scan export's with
+//! `openforhire export scan --preset paper-smoke --seed 7 | sha256sum`, and
+//! the zeroed snapshot's as the quick one's.
 
 use ofh_core::intel::sha256;
 use ofh_core::{Study, StudyConfig};
@@ -36,6 +46,12 @@ const STORE_SHA256: &str = "da70d0875386a80288616cb3716f9d4f16a1265fce0671f11754
 const TRACE_SHA256: &str = "5109ad86c108832e804e5e12f1bb5f7313c2c1b31e3ffa0f63488edc09d2573e";
 const SCAN_EXPORT_SHA256: &str = "4559da51745a12c09575cb42703c092cc8ea4b1d1cc994726485948510f0d93f";
 const METRICS_SHA256: &str = "a6961339e789fc5684c383c5bb76a8407ea8226d6ac16e3185b3b00a56c0a165";
+
+const SMOKE_REPORT_SHA256: &str = "bf4f90f892da2bade9979a57b9062f7c49414c0fdd8806217a7614cc74845e52";
+const SMOKE_STORE_SHA256: &str = "7cdb5ea955391a27858a635b07216254812a1223824060fcdb19b4e25ff30ecc";
+const SMOKE_TRACE_SHA256: &str = "49e4f6b73be9798039fca375afa5993b3b1ae04d6dc260fa1037a98dd8bdea53";
+const SMOKE_SCAN_EXPORT_SHA256: &str = "1889f2fe22ddb671220857d8120a07a5a88130b3284243ca742247b31a20fd56";
+const SMOKE_METRICS_SHA256: &str = "1ad4d781c3bf1df65854e6dacbfa608845c203af6e8f7fea00bfff6f98e902d0";
 
 fn hex(digest: [u8; 32]) -> String {
     digest.iter().map(|b| format!("{b:02x}")).collect()
@@ -84,5 +100,41 @@ fn quick_preset_seed7_matches_golden_file() {
         hex(sha256(metrics.as_bytes())),
         METRICS_SHA256,
         "zeroed metrics snapshot moved"
+    );
+}
+
+#[test]
+fn paper_smoke_seed7_artifacts_are_pinned() {
+    let report = Study::new(StudyConfig::paper_smoke(7)).run();
+    // The CLI's `study` stdout: render_full + println's \n.
+    let rendered = format!("{}\n", report.render_full());
+    assert_eq!(
+        hex(sha256(rendered.as_bytes())),
+        SMOKE_REPORT_SHA256,
+        "paper-smoke report bytes moved"
+    );
+    assert_eq!(
+        hex(sha256(&report.build_store())),
+        SMOKE_STORE_SHA256,
+        "paper-smoke store bytes moved"
+    );
+    let trace = report.trace.to_jsonl("paper-smoke", 64);
+    assert_eq!(
+        hex(sha256(trace.as_bytes())),
+        SMOKE_TRACE_SHA256,
+        "paper-smoke trace bytes moved"
+    );
+    assert_eq!(
+        hex(sha256(report.zmap_results.to_jsonl().as_bytes())),
+        SMOKE_SCAN_EXPORT_SHA256,
+        "paper-smoke scan export bytes moved"
+    );
+    let mut snapshot = report.metrics.clone();
+    snapshot.zero_wall_clock();
+    let metrics = serde_json::to_string_pretty(&snapshot).expect("snapshot serializes");
+    assert_eq!(
+        hex(sha256(metrics.as_bytes())),
+        SMOKE_METRICS_SHA256,
+        "paper-smoke zeroed metrics snapshot moved"
     );
 }
