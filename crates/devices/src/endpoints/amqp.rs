@@ -8,67 +8,96 @@
 //! `PLAIN` credentials. Poisoning publishes after an anonymous handshake are
 //! counted (§5.1.2 observed queue flooding to the point of DoS).
 
-use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use ofh_net::Payload;
 use ofh_net::{Agent, ConnToken, NetCtx, SockAddr, TcpDecision, Transport};
 use ofh_wire::amqp::{frame_type, ConnectionStart, Frame, PROTOCOL_HEADER};
 use ofh_wire::{ports, Protocol};
 
+use super::{ConnList, Responses};
 use crate::misconfig::Misconfig;
+
+/// The broker versions the population runs: a modern default, and the two
+/// vulnerable versions of Table 2.
+const VERSIONS: [&str; 3] = ["3.8.9", "2.7.1", "2.8.4"];
+
+/// The `Connection.Start` frame a broker answers the protocol header with;
+/// its server-properties disclose product and version.
+fn connection_start(misconfig: Option<Misconfig>, version: &str) -> Vec<u8> {
+    let mechanisms = if matches!(misconfig, Some(Misconfig::AmqpNoAuth)) {
+        "ANONYMOUS PLAIN"
+    } else {
+        "PLAIN AMQPLAIN"
+    };
+    let start = ConnectionStart {
+        version_major: 0,
+        version_minor: 9,
+        server_properties: vec![
+            ("product".into(), "RabbitMQ".into()),
+            ("version".into(), version.into()),
+            ("platform".into(), "Erlang/OTP".into()),
+        ],
+        mechanisms: mechanisms.into(),
+        locales: "en_US".into(),
+    };
+    Frame {
+        frame_type: frame_type::METHOD,
+        channel: 0,
+        payload: start.encode_method(),
+    }
+    .encode()
+}
+
+/// `Connection.Start` frames by (offers ANONYMOUS, index in [`VERSIONS`]),
+/// encoded once per process.
+fn start_frames() -> &'static [[Box<[u8]>; 3]; 2] {
+    static TABLE: OnceLock<[[Box<[u8]>; 3]; 2]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        [None, Some(Misconfig::AmqpNoAuth)]
+            .map(|m| VERSIONS.map(|v| connection_start(m, v).into_boxed_slice()))
+    })
+}
 
 /// A simulated AMQP broker on an IoT gateway.
 pub struct AmqpDevice {
     pub misconfig: Option<Misconfig>,
-    /// Broker version advertised in server-properties.
-    pub version: String,
     /// Ground truth: frames received after the handshake (publish flood /
     /// poisoning volume).
     pub post_handshake_frames: u64,
-    started: HashMap<ConnToken, bool>,
+    /// The `Connection.Start` frame advertising the broker version.
+    start: Responses<[u8]>,
+    started: ConnList<bool>,
 }
 
 impl AmqpDevice {
     pub fn new(misconfig: Option<Misconfig>) -> Self {
-        let version = if misconfig.is_some() {
-            // The two vulnerable versions of Table 2, split deterministically
-            // by posture to keep both visible in scan results.
-            "2.7.1".to_string()
-        } else {
-            "3.8.9".to_string()
-        };
+        // The vulnerable versions of Table 2 on misconfigured brokers; the
+        // population builder alternates 2.7.1 and 2.8.4 across them.
+        let version = if misconfig.is_some() { "2.7.1" } else { "3.8.9" };
         AmqpDevice {
             misconfig,
-            version,
             post_handshake_frames: 0,
-            started: HashMap::new(),
+            start: start_frame(misconfig, version),
+            started: ConnList::default(),
         }
     }
 
     /// Override the advertised version (population builder alternates 2.7.1
     /// and 2.8.4 across the vulnerable population).
     pub fn with_version(mut self, version: &str) -> Self {
-        self.version = version.into();
+        self.start = start_frame(self.misconfig, version);
         self
     }
+}
 
-    fn connection_start(&self) -> ConnectionStart {
-        let mechanisms = if matches!(self.misconfig, Some(Misconfig::AmqpNoAuth)) {
-            "ANONYMOUS PLAIN"
-        } else {
-            "PLAIN AMQPLAIN"
-        };
-        ConnectionStart {
-            version_major: 0,
-            version_minor: 9,
-            server_properties: vec![
-                ("product".into(), "RabbitMQ".into()),
-                ("version".into(), self.version.clone()),
-                ("platform".into(), "Erlang/OTP".into()),
-            ],
-            mechanisms: mechanisms.into(),
-            locales: "en_US".into(),
-        }
+/// The start frame for `misconfig` and `version`: shared for the
+/// population's versions, encoded here for any other.
+fn start_frame(misconfig: Option<Misconfig>, version: &str) -> Responses<[u8]> {
+    let anonymous = usize::from(matches!(misconfig, Some(Misconfig::AmqpNoAuth)));
+    match VERSIONS.iter().position(|v| *v == version) {
+        Some(i) => Responses::Shared(&*start_frames()[anonymous][i]),
+        None => connection_start(misconfig, version).into(),
     }
 }
 
@@ -88,23 +117,18 @@ impl Agent for AmqpDevice {
     }
 
     fn on_tcp_data(&mut self, ctx: &mut NetCtx<'_>, conn: ConnToken, data: &Payload) {
-        let started = self.started.get(&conn).copied().unwrap_or(false);
+        let started = self.started.get(conn).copied().unwrap_or(false);
         if !started {
             if data.starts_with(&PROTOCOL_HEADER) {
                 self.started.insert(conn, true);
-                let frame = Frame {
-                    frame_type: frame_type::METHOD,
-                    channel: 0,
-                    payload: self.connection_start().encode_method(),
-                };
-                ctx.tcp_send(conn, frame.encode());
+                ctx.tcp_send(conn, self.start.payload());
             } else {
                 // Spec: a server that receives a bad header replies with the
                 // header it expects and closes. The closer gets no
                 // `on_tcp_closed`, so the entry goes here.
-                ctx.tcp_send(conn, PROTOCOL_HEADER.to_vec());
+                ctx.tcp_send(conn, Payload::from_static(&PROTOCOL_HEADER));
                 ctx.tcp_close(conn);
-                self.started.remove(&conn);
+                self.started.remove(conn);
             }
             return;
         }
@@ -120,7 +144,7 @@ impl Agent for AmqpDevice {
     }
 
     fn on_tcp_closed(&mut self, _ctx: &mut NetCtx<'_>, conn: ConnToken) {
-        self.started.remove(&conn);
+        self.started.remove(conn);
     }
 }
 
@@ -270,5 +294,41 @@ mod tests {
     fn post_handshake_frames_counted() {
         let (_, frames) = probe(AmqpDevice::new(Some(Misconfig::AmqpNoAuth)), false, true);
         assert_eq!(frames, 1);
+    }
+
+    #[test]
+    fn shared_start_frames_match_the_per_connection_encoder() {
+        let mut postures = vec![None];
+        postures.extend(Misconfig::ALL.map(Some));
+        for m in postures {
+            for version in ["3.8.9", "2.7.1", "2.8.4"] {
+                let dev = AmqpDevice::new(m).with_version(version);
+                assert!(matches!(dev.start, Responses::Shared(_)));
+                // As every connection encoded it before the shared table.
+                let mechanisms = if m == Some(Misconfig::AmqpNoAuth) {
+                    "ANONYMOUS PLAIN"
+                } else {
+                    "PLAIN AMQPLAIN"
+                };
+                let start = ConnectionStart {
+                    version_major: 0,
+                    version_minor: 9,
+                    server_properties: vec![
+                        ("product".into(), "RabbitMQ".into()),
+                        ("version".into(), version.into()),
+                        ("platform".into(), "Erlang/OTP".into()),
+                    ],
+                    mechanisms: mechanisms.into(),
+                    locales: "en_US".into(),
+                };
+                let want = Frame {
+                    frame_type: frame_type::METHOD,
+                    channel: 0,
+                    payload: start.encode_method(),
+                }
+                .encode();
+                assert_eq!(&*dev.start, &want[..], "{m:?} {version}");
+            }
+        }
     }
 }

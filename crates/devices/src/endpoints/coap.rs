@@ -10,40 +10,144 @@
 //!   response is far larger than the 21-byte query);
 //! * configured — `4.01 Unauthorized` to everything (exposed but safe).
 
+use std::sync::OnceLock;
+
 use ofh_net::Payload;
 use ofh_net::{Agent, NetCtx, SockAddr, Transport};
-use ofh_wire::coap::{render_link_format, Code, LinkEntry, Message, MsgType};
+use ofh_wire::coap::{render_link_format, Code, LinkEntry, Message};
 use ofh_wire::{ports, Protocol};
 
+use super::{catalog_row, catalog_rows, row_profile, Responses};
 use crate::misconfig::Misconfig;
+use crate::profiles::DeviceProfile;
+
+/// CoAP resource tree advertising a profile's identity.
+fn resources_for(profile: Option<&DeviceProfile>) -> Vec<LinkEntry> {
+    let mut entries = vec![LinkEntry {
+        path: "/sensors/temp".into(),
+        attrs: vec![("rt".into(), "temperature".into())],
+    }];
+    if let Some(p) = profile {
+        if let Some(title) = p.identifier.strip_prefix("title: ") {
+            entries.push(LinkEntry {
+                path: "/qlink".into(),
+                attrs: vec![("title".into(), title.to_string())],
+            });
+        } else {
+            entries.push(LinkEntry {
+                path: p.identifier.to_string(),
+                attrs: vec![],
+            });
+        }
+    }
+    entries
+}
+
+/// The session marker a misconfigured posture puts before its resource
+/// listing, by [`session`] index: none for a reflector, `220-Admin ` for an
+/// admin session, `220 ` for a user session.
+const SESSION_PREFIXES: [&str; 3] = ["", "220-Admin ", "220 "];
+
+/// Which of [`SESSION_PREFIXES`] a misconfigured device shows.
+fn session(misconfig: Misconfig) -> usize {
+    match misconfig {
+        Misconfig::CoapNoAuthAdmin => 1,
+        Misconfig::CoapNoAuth => 2,
+        _ => 0,
+    }
+}
+
+/// An encoded reply to `req` minus its header and token: the options and
+/// payload of a 2.05 Content carrying `body`.
+fn content_tail(body: &str) -> Vec<u8> {
+    let mut m = Message::content_response(&Message::well_known_core_request(0), body);
+    m.token.clear();
+    m.encode().split_off(4)
+}
+
+/// A reply to `req`: an acknowledgement header with `code` that echoes the
+/// request's message id and token, then `tail`, the encoded options and
+/// payload. Byte for byte what `Message::encode` gives for the same reply.
+fn reply(req: &Message, code: Code, tail: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(4 + req.token.len() + tail.len());
+    // RFC 7252 §3: version 1, type Acknowledgement (2), token length.
+    out.push(0x60 | req.token.len() as u8);
+    out.push(code.0);
+    out.extend_from_slice(&req.message_id.to_be_bytes());
+    out.extend_from_slice(&req.token);
+    out.extend_from_slice(tail);
+    out
+}
+
+/// A device's resource tree and its `/.well-known/core` listing, encoded
+/// once per session marker.
+pub(crate) struct Resources {
+    entries: Vec<LinkEntry>,
+    /// [`content_tail`] of the listing, per [`session`] index.
+    core: [Box<[u8]>; 3],
+}
+
+impl Resources {
+    fn new(entries: Vec<LinkEntry>) -> Resources {
+        let listing = render_link_format(&entries);
+        Resources {
+            core: SESSION_PREFIXES
+                .map(|prefix| content_tail(&format!("{prefix}{listing}")).into_boxed_slice()),
+            entries,
+        }
+    }
+
+    fn knows(&self, path: &str) -> bool {
+        self.entries.iter().any(|r| r.path.trim_start_matches('/') == path)
+    }
+}
+
+/// Every catalog row's resources ([`catalog_row`]), encoded once per process.
+fn resource_table() -> &'static [Resources] {
+    static TABLE: OnceLock<Vec<Resources>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        (0..catalog_rows())
+            .map(|row| Resources::new(resources_for(row_profile(row))))
+            .collect()
+    })
+}
 
 /// A simulated CoAP-speaking IoT device.
 pub struct CoapDevice {
     pub misconfig: Option<Misconfig>,
-    /// The device's resource tree (seeded from its profile — e.g. a router
-    /// exposing `/ndm/login`).
-    pub resources: Vec<LinkEntry>,
     /// Ground truth: datagrams answered (amplification volume measure).
     pub responses_sent: u64,
     /// Ground truth: PUT/POST poisoning writes accepted.
     pub poison_writes: u64,
+    /// The device's resource tree (seeded from its profile — e.g. a router
+    /// exposing `/ndm/login`).
+    resources: Responses<Resources>,
 }
 
 impl CoapDevice {
+    /// A device with its own resource tree, its listing encoded once here.
     pub fn new(misconfig: Option<Misconfig>, resources: Vec<LinkEntry>) -> Self {
-        CoapDevice {
-            misconfig,
-            resources,
-            responses_sent: 0,
-            poison_writes: 0,
-        }
+        Self::with_resources(Responses::Own(Box::new(Resources::new(resources))), misconfig)
     }
 
-    fn session_prefix(&self) -> Option<&'static str> {
-        match self.misconfig {
-            Some(Misconfig::CoapNoAuthAdmin) => Some("220-Admin "),
-            Some(Misconfig::CoapNoAuth) => Some("220 "),
-            _ => None,
+    /// A device of the catalog: its resources are a shared table row.
+    pub(crate) fn cataloged(
+        profile: Option<&'static DeviceProfile>,
+        misconfig: Option<Misconfig>,
+    ) -> Self {
+        let resources = match catalog_row(profile) {
+            Some(row) => Responses::Shared(&resource_table()[row]),
+            None => Responses::Own(Box::new(Resources::new(resources_for(profile)))),
+        };
+        Self::with_resources(resources, misconfig)
+    }
+
+    fn with_resources(resources: Responses<Resources>, misconfig: Option<Misconfig>) -> Self {
+        CoapDevice {
+            misconfig,
+            responses_sent: 0,
+            poison_writes: 0,
+            resources,
         }
     }
 }
@@ -60,69 +164,33 @@ impl Agent for CoapDevice {
             return;
         }
         let reply = match self.misconfig {
-            None => {
-                // Exposed but properly configured: an explicit 4.01.
-                Message {
-                    msg_type: MsgType::Acknowledgement,
-                    code: Code::UNAUTHORIZED,
-                    message_id: req.message_id,
-                    token: req.token.clone(),
-                    options: vec![],
-                    payload: Vec::new(),
-                }
-            }
-            Some(_) => {
+            // Exposed but properly configured: an explicit 4.01.
+            None => reply(&req, Code::UNAUTHORIZED, &[]),
+            Some(m) => {
+                let session = session(m);
                 let path = req.uri_path();
                 if req.code == Code::GET && path == ".well-known/core" {
-                    let body = match self.session_prefix() {
-                        Some(prefix) => {
-                            format!("{prefix}{}", render_link_format(&self.resources))
-                        }
-                        None => render_link_format(&self.resources),
-                    };
-                    Message::content_response(&req, &body)
+                    reply(&req, Code::CONTENT, &self.resources.core[session])
                 } else if req.code == Code::GET {
                     // Resource read; no-auth sessions reveal full access.
-                    let known = self.resources.iter().any(|r| r.path.trim_start_matches('/') == path);
-                    let body = if !known {
-                        String::new()
-                    } else if self.session_prefix().is_some() {
-                        format!("x1C {path} content")
+                    if !self.resources.knows(&path) {
+                        reply(&req, Code::NOT_FOUND, &content_tail(""))
+                    } else if session != 0 {
+                        reply(&req, Code::CONTENT, &content_tail(&format!("x1C {path} content")))
                     } else {
-                        format!("{path} content")
-                    };
-                    let mut m = Message::content_response(&req, &body);
-                    if !known {
-                        m.code = Code::NOT_FOUND;
+                        reply(&req, Code::CONTENT, &content_tail(&format!("{path} content")))
                     }
-                    m
-                } else if matches!(req.code, Code::PUT | Code::POST)
-                    && self.session_prefix().is_some()
-                {
+                } else if matches!(req.code, Code::PUT | Code::POST) && session != 0 {
                     // Poisoning write accepted on no-auth sessions.
                     self.poison_writes += 1;
-                    Message {
-                        msg_type: MsgType::Acknowledgement,
-                        code: Code::CHANGED,
-                        message_id: req.message_id,
-                        token: req.token.clone(),
-                        options: vec![],
-                        payload: Vec::new(),
-                    }
+                    reply(&req, Code::CHANGED, &[])
                 } else {
-                    Message {
-                        msg_type: MsgType::Acknowledgement,
-                        code: Code::FORBIDDEN,
-                        message_id: req.message_id,
-                        token: req.token.clone(),
-                        options: vec![],
-                        payload: Vec::new(),
-                    }
+                    reply(&req, Code::FORBIDDEN, &[])
                 }
             }
         };
         self.responses_sent += 1;
-        ctx.udp_send(local_port, peer, reply.encode());
+        ctx.udp_send(local_port, peer, reply);
     }
 }
 
@@ -291,5 +359,69 @@ mod tests {
         );
         net.run_until(SimTime(30_000));
         assert_eq!(net.agent_downcast::<CoapDevice>(did).unwrap().responses_sent, 0);
+    }
+
+    /// The `/.well-known/core` reply as every datagram encoded it before the
+    /// shared table: a whole `Message` built from the request.
+    fn core_reply_per_datagram(
+        misconfig: Misconfig,
+        entries: &[LinkEntry],
+        req: &Message,
+    ) -> Vec<u8> {
+        let listing = render_link_format(entries);
+        let body = match misconfig {
+            Misconfig::CoapNoAuthAdmin => format!("220-Admin {listing}"),
+            Misconfig::CoapNoAuth => format!("220 {listing}"),
+            _ => listing,
+        };
+        Message::content_response(req, &body).encode()
+    }
+
+    #[test]
+    fn shared_listings_match_the_per_datagram_encoder() {
+        let req = Message::well_known_core_request(0x1234);
+        for profile in crate::PROFILES.iter().map(Some).chain([None]) {
+            let entries = resources_for(profile);
+            for m in Misconfig::ALL {
+                let dev = CoapDevice::cataloged(profile, Some(m));
+                assert!(matches!(dev.resources, Responses::Shared(_)));
+                assert_eq!(dev.resources.entries, entries);
+                let got = reply(&req, Code::CONTENT, &dev.resources.core[session(m)]);
+                assert_eq!(got, core_reply_per_datagram(m, &entries, &req), "{profile:?} {m:?}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Header and token echoed in front of a cached tail equal a whole
+        /// `Message::encode`, for any message id and token.
+        #[test]
+        fn replies_echo_any_message_id_and_token(
+            message_id in proptest::prelude::any::<u16>(),
+            token in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..=8),
+            session_ix in 0usize..3,
+        ) {
+            let mut req = Message::well_known_core_request(message_id);
+            req.token = token;
+            let resources = Resources::new(router_resources());
+            let misconfig = [
+                Misconfig::CoapReflection,
+                Misconfig::CoapNoAuthAdmin,
+                Misconfig::CoapNoAuth,
+            ][session_ix];
+            proptest::prop_assert_eq!(
+                reply(&req, Code::CONTENT, &resources.core[session(misconfig)]),
+                core_reply_per_datagram(misconfig, &router_resources(), &req)
+            );
+            let bare = Message {
+                msg_type: ofh_wire::coap::MsgType::Acknowledgement,
+                code: Code::UNAUTHORIZED,
+                message_id,
+                token: req.token.clone(),
+                options: vec![],
+                payload: vec![],
+            };
+            proptest::prop_assert_eq!(reply(&req, Code::UNAUTHORIZED, &[]), bare.encode());
+        }
     }
 }

@@ -9,51 +9,199 @@
 //! names. PUBLISHes to a no-auth broker are stored, making the data-poisoning
 //! attacks of §5.1.2 observable.
 
-use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use ofh_net::Payload;
 use ofh_net::{Agent, ConnToken, NetCtx, SockAddr, TcpDecision, Transport};
 use ofh_wire::mqtt::{ConnectReturnCode, Packet};
 use ofh_wire::{ports, Protocol};
 
+use super::{catalog_row, catalog_rows, row_profile, ConnList};
 use crate::misconfig::Misconfig;
+use crate::profiles::DeviceProfile;
+
+/// Retained MQTT topics advertising a profile's identity (Table 11 rows).
+fn default_topics(profile: Option<&DeviceProfile>) -> Vec<(String, Vec<u8>)> {
+    match profile {
+        Some(p) => {
+            let id = p.identifier;
+            if id.ends_with('/') {
+                vec![
+                    (format!("{id}device0/state"), b"ok".to_vec()),
+                    (format!("{id}device0/config"), b"{}".to_vec()),
+                ]
+            } else {
+                vec![(id.to_string(), b"21.5".to_vec())]
+            }
+        }
+        None => vec![("devices/generic/status".into(), b"up".to_vec())],
+    }
+}
+
+/// The retained PUBLISH a subscriber receives for `topic`.
+fn retained_publish(topic: &str, payload: &[u8]) -> Vec<u8> {
+    Packet::Publish {
+        topic: topic.to_string(),
+        packet_id: None,
+        payload: payload.to_vec(),
+        qos: 0,
+        retain: true,
+    }
+    .encode()
+}
+
+/// One retained topic of a catalog row, with its PUBLISH encoded.
+struct Retained {
+    topic: String,
+    payload: Vec<u8>,
+    publish: Box<[u8]>,
+}
+
+/// A broker's fixed replies and every catalog row's retained topics
+/// ([`catalog_row`]), encoded once per process.
+struct Replies {
+    /// CONNACK accepting and refusing a CONNECT.
+    connack: [Box<[u8]>; 2],
+    pingresp: Box<[u8]>,
+    topics: Vec<Vec<Retained>>,
+}
+
+fn replies() -> &'static Replies {
+    static TABLE: OnceLock<Replies> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let connack = |return_code| {
+            Packet::ConnAck {
+                session_present: false,
+                return_code,
+            }
+            .encode()
+            .into_boxed_slice()
+        };
+        Replies {
+            connack: [
+                connack(ConnectReturnCode::Accepted),
+                connack(ConnectReturnCode::NotAuthorized),
+            ],
+            pingresp: Packet::PingResp.encode().into_boxed_slice(),
+            topics: (0..catalog_rows())
+                .map(|row| {
+                    default_topics(row_profile(row))
+                        .into_iter()
+                        .map(|(topic, payload)| Retained {
+                            publish: retained_publish(&topic, &payload).into_boxed_slice(),
+                            topic,
+                            payload,
+                        })
+                        .collect()
+                })
+                .collect(),
+        }
+    })
+}
+
+/// A broker's retained topics: its catalog row's, shared until a client
+/// writes one; then (and for a device built outside the catalog) its own
+/// list, encoded per subscription.
+enum Topics {
+    Shared(&'static [Retained]),
+    Own(Vec<(String, Vec<u8>)>),
+}
+
+/// One client connection's state.
+#[derive(Default)]
+struct Session {
+    authed: bool,
+    /// Stream bytes not yet decoded into a packet.
+    buf: Vec<u8>,
+}
 
 /// A simulated MQTT broker on an IoT device.
 pub struct MqttDevice {
     /// `Some(MqttNoAuth)` = open broker; `None` = credentials required.
     pub misconfig: Option<Misconfig>,
     /// Accepted credentials when configured.
-    pub credentials: Option<(String, Vec<u8>)>,
-    /// Retained topic -> payload (seeded from the device profile).
-    pub topics: Vec<(String, Vec<u8>)>,
+    pub credentials: Option<(&'static str, &'static [u8])>,
     /// Ground truth: poisoning writes received.
     pub poison_writes: u64,
     /// `$SYS/#` subscription attempts (the paper's most-targeted topics).
     pub sys_subscriptions: u64,
-    authed: HashMap<ConnToken, bool>,
-    buffers: HashMap<ConnToken, Vec<u8>>,
+    /// Retained topic -> payload (seeded from the device profile).
+    topics: Topics,
+    sessions: ConnList<Session>,
 }
 
 impl MqttDevice {
+    /// A broker retaining `topics`.
     pub fn new(misconfig: Option<Misconfig>, topics: Vec<(String, Vec<u8>)>) -> Self {
+        Self::with_topics(Topics::Own(topics), misconfig)
+    }
+
+    /// A broker of the catalog: its retained topics are a shared table row.
+    pub(crate) fn cataloged(
+        profile: Option<&'static DeviceProfile>,
+        misconfig: Option<Misconfig>,
+    ) -> Self {
+        let topics = match catalog_row(profile) {
+            Some(row) => Topics::Shared(&replies().topics[row]),
+            None => Topics::Own(default_topics(profile)),
+        };
+        Self::with_topics(topics, misconfig)
+    }
+
+    fn with_topics(topics: Topics, misconfig: Option<Misconfig>) -> Self {
         MqttDevice {
             misconfig,
             credentials: None,
-            topics,
             poison_writes: 0,
             sys_subscriptions: 0,
-            authed: HashMap::new(),
-            buffers: HashMap::new(),
+            topics,
+            sessions: ConnList::default(),
         }
     }
 
-    pub fn with_credentials(mut self, user: &str, pass: &[u8]) -> Self {
-        self.credentials = Some((user.to_string(), pass.to_vec()));
+    pub fn with_credentials(mut self, user: &'static str, pass: &'static [u8]) -> Self {
+        self.credentials = Some((user, pass));
         self
     }
 
     fn open(&self) -> bool {
         matches!(self.misconfig, Some(Misconfig::MqttNoAuth))
+    }
+
+    fn authed(&self, conn: ConnToken) -> bool {
+        self.sessions.get(conn).is_some_and(|s| s.authed)
+    }
+
+    /// Send the retained message of every topic `filter` matches.
+    fn deliver_retained(&self, ctx: &mut NetCtx<'_>, conn: ConnToken, filter: &str) {
+        match &self.topics {
+            Topics::Shared(rows) => {
+                for r in rows.iter().filter(|r| topic_matches(filter, &r.topic)) {
+                    ctx.tcp_send(conn, Payload::from_static(&r.publish));
+                }
+            }
+            Topics::Own(list) => {
+                for (topic, payload) in list.iter().filter(|(t, _)| topic_matches(filter, t)) {
+                    ctx.tcp_send(conn, retained_publish(topic, payload));
+                }
+            }
+        }
+    }
+
+    /// Store a client's PUBLISH: the broker takes its own copy of the
+    /// topic list on the first write.
+    fn retain(&mut self, topic: String, payload: Vec<u8>) {
+        if let Topics::Shared(rows) = self.topics {
+            let list = rows.iter().map(|r| (r.topic.clone(), r.payload.clone())).collect();
+            self.topics = Topics::Own(list);
+        }
+        let Topics::Own(list) = &mut self.topics else {
+            unreachable!("the topic list was just made the broker's own")
+        };
+        match list.iter_mut().find(|(t, _)| *t == topic) {
+            Some((_, existing)) => *existing = payload,
+            None => list.push((topic, payload)),
+        }
     }
 
     fn handle(&mut self, ctx: &mut NetCtx<'_>, conn: ConnToken, packet: Packet) {
@@ -62,27 +210,18 @@ impl MqttDevice {
                 username, password, ..
             } => {
                 let accept = self.open()
-                    || match (&self.credentials, username, password) {
-                        (Some((u, p)), Some(cu), Some(cp)) => *u == cu && *p == cp,
+                    || match (self.credentials, username, password) {
+                        (Some((u, p)), Some(cu), Some(cp)) => u == cu && p == cp.as_slice(),
                         _ => false,
                     };
-                let code = if accept {
-                    self.authed.insert(conn, true);
-                    ConnectReturnCode::Accepted
-                } else {
-                    ConnectReturnCode::NotAuthorized
-                };
-                ctx.tcp_send(
-                    conn,
-                    Packet::ConnAck {
-                        session_present: false,
-                        return_code: code,
-                    }
-                    .encode(),
-                );
+                if accept {
+                    self.sessions.get_or_default(conn).authed = true;
+                }
+                let connack = &replies().connack[usize::from(!accept)];
+                ctx.tcp_send(conn, Payload::from_static(connack));
             }
             Packet::Subscribe { packet_id, topics } => {
-                if !self.authed.get(&conn).copied().unwrap_or(false) {
+                if !self.authed(conn) {
                     return;
                 }
                 if topics.iter().any(|(t, _)| t.starts_with("$SYS")) {
@@ -98,36 +237,21 @@ impl MqttDevice {
                 );
                 // Deliver retained messages for matching filters.
                 for (filter, _) in &topics {
-                    for (topic, payload) in &self.topics {
-                        if topic_matches(filter, topic) {
-                            ctx.tcp_send(
-                                conn,
-                                Packet::Publish {
-                                    topic: topic.clone(),
-                                    packet_id: None,
-                                    payload: payload.clone(),
-                                    qos: 0,
-                                    retain: true,
-                                }
-                                .encode(),
-                            );
-                        }
-                    }
+                    self.deliver_retained(ctx, conn, filter);
                 }
             }
             Packet::Publish { topic, payload, .. } => {
-                if !self.authed.get(&conn).copied().unwrap_or(false) {
+                if !self.authed(conn) {
                     return;
                 }
                 self.poison_writes += 1;
-                match self.topics.iter_mut().find(|(t, _)| *t == topic) {
-                    Some((_, existing)) => *existing = payload,
-                    None => self.topics.push((topic, payload)),
-                }
+                self.retain(topic, payload);
             }
-            Packet::PingReq => ctx.tcp_send(conn, Packet::PingResp.encode()),
+            Packet::PingReq => ctx.tcp_send(conn, Payload::from_static(&replies().pingresp)),
             Packet::Disconnect => {
-                self.authed.remove(&conn);
+                if let Some(s) = self.sessions.get_mut(conn) {
+                    s.authed = false;
+                }
             }
             _ => {}
         }
@@ -160,12 +284,12 @@ impl Agent for MqttDevice {
         if !super::serves(Protocol::Mqtt, ports::MQTT, Transport::Tcp, local_port) {
             return TcpDecision::Refuse;
         }
-        self.authed.insert(conn, false);
+        self.sessions.insert(conn, Session::default());
         TcpDecision::accept()
     }
 
     fn on_tcp_data(&mut self, ctx: &mut NetCtx<'_>, conn: ConnToken, data: &Payload) {
-        let buf = self.buffers.entry(conn).or_default();
+        let buf = &mut self.sessions.get_or_default(conn).buf;
         buf.extend_from_slice(data);
         for packet in Packet::drain(buf) {
             self.handle(ctx, conn, packet);
@@ -173,8 +297,7 @@ impl Agent for MqttDevice {
     }
 
     fn on_tcp_closed(&mut self, _ctx: &mut NetCtx<'_>, conn: ConnToken) {
-        self.authed.remove(&conn);
-        self.buffers.remove(&conn);
+        self.sessions.remove(conn);
     }
 }
 
@@ -351,5 +474,94 @@ mod tests {
         assert!(!topic_matches("a/b", "a/b/c"));
         assert!(topic_matches("a/#", "a/b/c"));
         assert!(!topic_matches("b/#", "a/b"));
+    }
+
+    #[test]
+    fn shared_replies_match_the_per_packet_encoder() {
+        let t = replies();
+        for (i, code) in [ConnectReturnCode::Accepted, ConnectReturnCode::NotAuthorized]
+            .into_iter()
+            .enumerate()
+        {
+            let want = Packet::ConnAck {
+                session_present: false,
+                return_code: code,
+            };
+            assert_eq!(&*t.connack[i], &want.encode()[..]);
+        }
+        assert_eq!(&*t.pingresp, &Packet::PingResp.encode()[..]);
+        for profile in crate::PROFILES.iter().map(Some).chain([None]) {
+            let dev = MqttDevice::cataloged(profile, Some(Misconfig::MqttNoAuth));
+            let Topics::Shared(rows) = dev.topics else {
+                panic!("a catalog broker owns its topics")
+            };
+            let want = default_topics(profile);
+            assert_eq!(rows.len(), want.len());
+            for (r, (topic, payload)) in rows.iter().zip(want) {
+                // As every subscription encoded it before the shared table.
+                let publish = Packet::Publish {
+                    topic: topic.clone(),
+                    packet_id: None,
+                    payload: payload.clone(),
+                    qos: 0,
+                    retain: true,
+                }
+                .encode();
+                assert_eq!((&r.topic, &r.payload), (&topic, &payload));
+                assert_eq!(&*r.publish, &publish[..], "{topic}");
+            }
+        }
+    }
+
+    #[test]
+    fn poisoned_catalog_broker_lists_the_new_topic() {
+        let profile = crate::PROFILES
+            .iter()
+            .find(|p| p.name == "Home Assistant (MQTT)")
+            .unwrap();
+        let topics_after = |publish: Option<(String, Vec<u8>)>| {
+            let dev = MqttDevice::cataloged(Some(profile), Some(Misconfig::MqttNoAuth));
+            let mut c = client(SockAddr::new(ip(16, 6, 0, 1), 1883));
+            c.publish = publish;
+            // The client publishes, then a second connection subscribes.
+            let mut net = SimNet::new(SimNetConfig::default());
+            let did = net.attach(ip(16, 6, 0, 1), Box::new(dev));
+            net.attach(ip(16, 6, 0, 2), Box::new(c));
+            net.run_until(SimTime(60_000));
+            let mut sub = client(SockAddr::new(ip(16, 6, 0, 1), 1883));
+            sub.subscribe = Some("#".into());
+            let sid = net.attach(ip(16, 6, 0, 3), Box::new(sub));
+            net.run_until(SimTime(120_000));
+            let got: Vec<(String, Vec<u8>)> = net
+                .agent_downcast::<MqttClient>(sid)
+                .unwrap()
+                .got
+                .iter()
+                .filter_map(|p| match p {
+                    Packet::Publish { topic, payload, .. } => {
+                        Some((topic.clone(), payload.clone()))
+                    }
+                    _ => None,
+                })
+                .collect();
+            let d = net.agent_downcast::<MqttDevice>(did).unwrap();
+            (got, d.poison_writes, matches!(d.topics, Topics::Own(_)))
+        };
+        let (before, writes, owned) = topics_after(None);
+        assert_eq!(before, default_topics(Some(profile)));
+        assert_eq!((writes, owned), (0, false), "an unwritten broker copied its topics");
+
+        let (after, writes, owned) =
+            topics_after(Some(("homeassistant/light/kitchen".into(), b"pwned".to_vec())));
+        let mut want = default_topics(Some(profile));
+        want.push(("homeassistant/light/kitchen".into(), b"pwned".to_vec()));
+        assert_eq!(after, want);
+        assert_eq!((writes, owned), (1, true));
+
+        // A write to a default topic replaces its retained payload.
+        let first = default_topics(Some(profile))[0].0.clone();
+        let (after, _, _) = topics_after(Some((first.clone(), b"999".to_vec())));
+        assert_eq!(after[0], (first, b"999".to_vec()));
+        assert_eq!(after.len(), default_topics(Some(profile)).len());
     }
 }

@@ -8,56 +8,90 @@
 //! brute-force and anonymous state-change attacks (§5.1.2) ride on the same
 //! exchange.
 
-use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use ofh_net::Payload;
 use ofh_net::{Agent, ConnToken, NetCtx, SockAddr, TcpDecision, Transport};
 use ofh_wire::xmpp::{Mechanism, StreamFeatures, TlsPolicy};
 use ofh_wire::{ports, Protocol};
 
+use super::{text, ConnList, Responses};
 use crate::misconfig::Misconfig;
+
+/// The JID domain every device of the population advertises.
+const GATEWAY_DOMAIN: &str = "iot-gateway";
+
+const SASL_SUCCESS: &str = "<success xmlns='urn:ietf:params:xml:ns:xmpp-sasl'/>";
+const SASL_FAILURE: &str =
+    "<failure xmlns='urn:ietf:params:xml:ns:xmpp-sasl'><not-authorized/></failure>";
+
+/// Which stream features a device with `misconfig` offers: TLS required
+/// with SCRAM, PLAIN only, or ANONYMOUS and PLAIN.
+fn posture(misconfig: Option<Misconfig>) -> usize {
+    match misconfig {
+        Some(Misconfig::XmppAnonymousLogin) => 2,
+        Some(Misconfig::XmppNoEncryption) => 1,
+        _ => 0,
+    }
+}
+
+/// The stream header and `<stream:features>` a device sends once a client
+/// opens its stream.
+fn features(domain: &str, misconfig: Option<Misconfig>) -> Vec<u8> {
+    let (starttls, mechanisms) = match posture(misconfig) {
+        2 => (None, vec![Mechanism::Anonymous, Mechanism::Plain]),
+        1 => (None, vec![Mechanism::Plain]),
+        _ => (Some(TlsPolicy::Required), vec![Mechanism::ScramSha1]),
+    };
+    StreamFeatures {
+        from: domain.to_string(),
+        id: "s1".into(),
+        starttls,
+        mechanisms,
+        version: None,
+    }
+    .render()
+    .into_bytes()
+}
+
+/// The population's stream features per [`posture`], encoded once per
+/// process.
+fn gateway_features() -> &'static [Box<[u8]>; 3] {
+    static TABLE: OnceLock<[Box<[u8]>; 3]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        [None, Some(Misconfig::XmppNoEncryption), Some(Misconfig::XmppAnonymousLogin)]
+            .map(|m| features(GATEWAY_DOMAIN, m).into_boxed_slice())
+    })
+}
 
 /// A simulated XMPP server on an IoT device.
 pub struct XmppDevice {
     pub misconfig: Option<Misconfig>,
-    /// JID domain advertised in the stream header.
-    pub domain: String,
     /// Ground truth: anonymous logins performed.
     pub anonymous_logins: u64,
     /// Ground truth: state-change commands received from anonymous sessions
     /// (the light-toggling malware of §5.1.2).
     pub state_changes: u64,
-    opened: HashMap<ConnToken, bool>,
+    /// Stream features advertising the JID domain in the stream header.
+    features: Responses<[u8]>,
+    opened: ConnList<bool>,
 }
 
 impl XmppDevice {
-    pub fn new(misconfig: Option<Misconfig>, domain: impl Into<String>) -> Self {
+    /// A server for `domain`; the population's domain shares its encoded
+    /// features, any other is encoded once here.
+    pub fn new(misconfig: Option<Misconfig>, domain: &str) -> Self {
+        let features = if domain == GATEWAY_DOMAIN {
+            Responses::Shared(&*gateway_features()[posture(misconfig)])
+        } else {
+            features(domain, misconfig).into()
+        };
         XmppDevice {
             misconfig,
-            domain: domain.into(),
             anonymous_logins: 0,
             state_changes: 0,
-            opened: HashMap::new(),
-        }
-    }
-
-    fn features(&self) -> StreamFeatures {
-        let (starttls, mechanisms) = match self.misconfig {
-            Some(Misconfig::XmppAnonymousLogin) => {
-                (None, vec![Mechanism::Anonymous, Mechanism::Plain])
-            }
-            Some(Misconfig::XmppNoEncryption) => (None, vec![Mechanism::Plain]),
-            _ => (
-                Some(TlsPolicy::Required),
-                vec![Mechanism::ScramSha1],
-            ),
-        };
-        StreamFeatures {
-            from: self.domain.clone(),
-            id: "s1".into(),
-            starttls,
-            mechanisms,
-            version: None,
+            features,
+            opened: ConnList::default(),
         }
     }
 }
@@ -83,46 +117,42 @@ impl Agent for XmppDevice {
     }
 
     fn on_tcp_data(&mut self, ctx: &mut NetCtx<'_>, conn: ConnToken, data: &Payload) {
-        let text = String::from_utf8_lossy(data).into_owned();
-        let opened = self.opened.get(&conn).copied().unwrap_or(false);
+        let text_in = String::from_utf8_lossy(data);
+        let opened = self.opened.get(conn).copied().unwrap_or(false);
         if !opened {
-            if text.contains("<stream:stream") {
+            if text_in.contains("<stream:stream") {
                 self.opened.insert(conn, true);
-                ctx.tcp_send(conn, self.features().render().into_bytes());
+                ctx.tcp_send(conn, self.features.payload());
             }
             return;
         }
         // SASL auth attempts.
-        if text.contains("mechanism='ANONYMOUS'") || text.contains("mechanism=\"ANONYMOUS\"") {
+        if text_in.contains("mechanism='ANONYMOUS'")
+            || text_in.contains("mechanism=\"ANONYMOUS\"")
+        {
             if matches!(self.misconfig, Some(Misconfig::XmppAnonymousLogin)) {
                 self.anonymous_logins += 1;
-                ctx.tcp_send(conn, "<success xmlns='urn:ietf:params:xml:ns:xmpp-sasl'/>");
+                ctx.tcp_send(conn, text(SASL_SUCCESS));
             } else {
-                ctx.tcp_send(
-                    conn,
-                    "<failure xmlns='urn:ietf:params:xml:ns:xmpp-sasl'><not-authorized/></failure>",
-                );
+                ctx.tcp_send(conn, text(SASL_FAILURE));
             }
             return;
         }
-        if text.contains("mechanism='PLAIN'") || text.contains("mechanism=\"PLAIN\"") {
+        if text_in.contains("mechanism='PLAIN'") || text_in.contains("mechanism=\"PLAIN\"") {
             // No credential store on these devices: PLAIN always fails, but
             // the secret just crossed the wire — the misconfiguration.
-            ctx.tcp_send(
-                conn,
-                "<failure xmlns='urn:ietf:params:xml:ns:xmpp-sasl'><not-authorized/></failure>",
-            );
+            ctx.tcp_send(conn, text(SASL_FAILURE));
             return;
         }
         // IQ set = state change (e.g. toggling Hue lights).
-        if text.contains("<iq") && text.contains("type='set'") {
+        if text_in.contains("<iq") && text_in.contains("type='set'") {
             self.state_changes += 1;
-            ctx.tcp_send(conn, "<iq type='result'/>");
+            ctx.tcp_send(conn, text("<iq type='result'/>"));
         }
     }
 
     fn on_tcp_closed(&mut self, _ctx: &mut NetCtx<'_>, conn: ConnToken) {
-        self.opened.remove(&conn);
+        self.opened.remove(conn);
     }
 }
 
@@ -236,5 +266,32 @@ mod tests {
         );
         assert!(replies.iter().any(|r| r.contains("<failure")));
         assert_eq!(logins, 0);
+    }
+
+    #[test]
+    fn shared_features_match_the_per_stream_renderer() {
+        let mut postures = vec![None];
+        postures.extend(Misconfig::ALL.map(Some));
+        for m in postures {
+            let dev = XmppDevice::new(m, GATEWAY_DOMAIN);
+            assert!(matches!(dev.features, Responses::Shared(_)));
+            // As every stream rendered it before the shared table.
+            let (starttls, mechanisms) = match m {
+                Some(Misconfig::XmppAnonymousLogin) => {
+                    (None, vec![Mechanism::Anonymous, Mechanism::Plain])
+                }
+                Some(Misconfig::XmppNoEncryption) => (None, vec![Mechanism::Plain]),
+                _ => (Some(TlsPolicy::Required), vec![Mechanism::ScramSha1]),
+            };
+            let want = StreamFeatures {
+                from: "iot-gateway".into(),
+                id: "s1".into(),
+                starttls,
+                mechanisms,
+                version: None,
+            }
+            .render();
+            assert_eq!(&*dev.features, want.as_bytes(), "{m:?}");
+        }
     }
 }

@@ -22,7 +22,6 @@ use std::net::Ipv4Addr;
 use ofh_intel::{Country, GeoDb};
 use ofh_net::rng::rng_for;
 use ofh_net::{Agent, SimNet};
-use ofh_wire::ssdp::DeviceDescription;
 use ofh_wire::{ports, Protocol};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -342,32 +341,22 @@ fn country_for_fraction(frac: f64, countries: &[Country]) -> usize {
 }
 
 impl DeviceRecord {
-    /// Instantiate the behavioural agent for this record.
+    /// Instantiate the behavioural agent for this record: one heap block,
+    /// the agent's own. Its identity borrows the catalog, and every response
+    /// its generation inputs fix is a shared table entry (see
+    /// [`endpoints`](crate::endpoints), "Lean agents").
     pub fn build_agent(&self) -> Box<dyn Agent> {
         match self.protocol {
             Protocol::Telnet => {
-                let banner = self
-                    .profile
-                    .map(|p| p.identifier.to_string())
-                    .unwrap_or_else(|| "login:".to_string());
-                let mut dev = TelnetDevice::new(banner, self.misconfig, self.port);
+                let mut dev = TelnetDevice::cataloged(self.profile, self.misconfig, self.port);
                 if let Some(c) = self.default_creds {
                     dev = dev.with_credentials(c.username, c.password);
                 }
                 Box::new(dev)
             }
-            Protocol::Mqtt => {
-                let topics = mqtt_topics_for(self.profile);
-                Box::new(MqttDevice::new(self.misconfig, topics))
-            }
-            Protocol::Coap => Box::new(CoapDevice::new(
-                self.misconfig,
-                coap_resources_for(self.profile),
-            )),
-            Protocol::Upnp => {
-                let (server, description) = upnp_identity_for(self.profile);
-                Box::new(UpnpDevice::new(self.misconfig, server, description))
-            }
+            Protocol::Mqtt => Box::new(MqttDevice::cataloged(self.profile, self.misconfig)),
+            Protocol::Coap => Box::new(CoapDevice::cataloged(self.profile, self.misconfig)),
+            Protocol::Upnp => Box::new(UpnpDevice::cataloged(self.profile, self.misconfig)),
             Protocol::Amqp => {
                 let dev = AmqpDevice::new(self.misconfig);
                 // Alternate the two vulnerable Table 2 versions across the
@@ -384,72 +373,6 @@ impl DeviceRecord {
             other => unreachable!("population never exposes {other}"),
         }
     }
-}
-
-/// Retained MQTT topics advertising a profile's identity (Table 11 rows).
-fn mqtt_topics_for(profile: Option<&'static DeviceProfile>) -> Vec<(String, Vec<u8>)> {
-    match profile {
-        Some(p) => {
-            let id = p.identifier;
-            if id.ends_with('/') {
-                vec![
-                    (format!("{id}device0/state"), b"ok".to_vec()),
-                    (format!("{id}device0/config"), b"{}".to_vec()),
-                ]
-            } else {
-                vec![(id.to_string(), b"21.5".to_vec())]
-            }
-        }
-        None => vec![("devices/generic/status".into(), b"up".to_vec())],
-    }
-}
-
-/// CoAP resource tree advertising a profile's identity.
-fn coap_resources_for(profile: Option<&'static DeviceProfile>) -> Vec<ofh_wire::coap::LinkEntry> {
-    use ofh_wire::coap::LinkEntry;
-    let mut entries = vec![LinkEntry {
-        path: "/sensors/temp".into(),
-        attrs: vec![("rt".into(), "temperature".into())],
-    }];
-    if let Some(p) = profile {
-        if let Some(title) = p.identifier.strip_prefix("title: ") {
-            entries.push(LinkEntry {
-                path: "/qlink".into(),
-                attrs: vec![("title".into(), title.to_string())],
-            });
-        } else {
-            entries.push(LinkEntry {
-                path: p.identifier.to_string(),
-                attrs: vec![],
-            });
-        }
-    }
-    entries
-}
-
-/// SERVER string and description block for a UPnP profile.
-fn upnp_identity_for(
-    profile: Option<&'static DeviceProfile>,
-) -> (String, DeviceDescription) {
-    let mut server = "Linux/2.x UPnP/1.0 Generic/1.0".to_string();
-    let mut d = DeviceDescription::default();
-    if let Some(p) = profile {
-        let id = p.identifier;
-        if let Some(v) = id.strip_prefix("Server: ") {
-            server = v.to_string();
-        } else if let Some(v) = id.strip_prefix("Friendly Name: ") {
-            d.friendly_name = v.to_string();
-        } else if let Some(v) = id.strip_prefix("Model Name: ") {
-            d.model_name = v.to_string();
-        } else if let Some(v) = id.strip_prefix("Manufacturer: ") {
-            d.manufacturer = v.to_string();
-        } else if let Some(v) = id.strip_prefix("Model Description: ") {
-            d.model_description = v.to_string();
-        } else if let Some(v) = id.strip_prefix("Model Number: ") {
-            d.model_number = v.to_string();
-        }
-    }
-    (server, d)
 }
 
 impl Population {

@@ -43,7 +43,11 @@ macro_rules! profile {
 
 /// The catalog, transcribed from Appendix Table 11 (plus the IP phone class
 /// §5.3 mentions among attacking devices).
-pub const PROFILES: &[DeviceProfile] = &[
+///
+/// A `static`, not a `const`: Rust does not promise that two uses of a
+/// `const` share one address, and the device agents key their shared
+/// response tables by a profile's position here ([`position`]).
+pub static PROFILES: &[DeviceProfile] = &[
     // Cameras.
     profile!("HiKVision Camera", Telnet, Camera, "192.168.0.64 login:", 30),
     profile!("Polycom HDX", Telnet, Camera, "Welcome to ViewStation", 6),
@@ -102,6 +106,16 @@ pub const PROFILES: &[DeviceProfile] = &[
     // IP phones (attack-source device class of §5.3).
     profile!("Generic SIP Phone", Upnp, IpPhone, "Model Name: SIP-T21P", 5),
 ];
+
+/// The position of `profile` in [`PROFILES`], or `None` for a profile that
+/// is not one of the catalog's entries (a copy made elsewhere).
+pub fn position(profile: &DeviceProfile) -> Option<usize> {
+    let size = std::mem::size_of::<DeviceProfile>();
+    let offset = (profile as *const DeviceProfile as usize)
+        .wrapping_sub(PROFILES.as_ptr() as usize);
+    let index = offset / size;
+    (offset % size == 0 && index < PROFILES.len()).then_some(index)
+}
 
 /// Profiles whose identifier appears on `protocol`.
 pub fn profiles_for(protocol: Protocol) -> Vec<&'static DeviceProfile> {
@@ -162,6 +176,18 @@ mod tests {
         let p = identify(Protocol::Telnet, "192.168.0.64 login:").unwrap();
         assert_eq!(p.name, "HiKVision Camera");
         assert_eq!(p.device_type, DeviceType::Camera);
+    }
+
+    #[test]
+    fn positions_address_the_catalog() {
+        for (i, p) in PROFILES.iter().enumerate() {
+            assert_eq!(position(p), Some(i), "{}", p.name);
+        }
+        for p in profiles_for(Protocol::Upnp) {
+            assert!(std::ptr::eq(&PROFILES[position(p).unwrap()], p));
+        }
+        let copy = PROFILES[3];
+        assert_eq!(position(&copy), None, "a copy is not a catalog entry");
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::net::Ipv4Addr;
 use ofh_fingerprint::engine::passive_candidates;
 use ofh_fingerprint::matcher::{naive_find_all, AhoCorasick};
 use ofh_fingerprint::SignatureDb;
-use ofh_obs::{MetricRegistry, ShardObs};
+use ofh_obs::{MetricRegistry, ObsConfig, ShardObs};
 use ofh_scan::{HostRecord, ScanResults};
 use ofh_wire::Protocol;
 use proptest::prelude::*;
@@ -136,11 +136,11 @@ proptest! {
             results.insert(HostRecord::new(Ipv4Addr::from(0x1000_0000 + host), 2_323, Protocol::Telnet, "", raw));
         }
 
-        let guard = ofh_obs::install(ShardObs::new(16));
+        let guard = ofh_obs::install(ShardObs::for_shard(0, &ObsConfig::default()));
         let candidates = passive_candidates(&db, &results);
         let memo = guard.finish();
 
-        let guard = ofh_obs::install(ShardObs::new(16));
+        let guard = ofh_obs::install(ShardObs::for_shard(0, &ObsConfig::default()));
         let expected: Vec<_> = results
             .records
             .values()

@@ -10,6 +10,7 @@
 use std::fmt;
 use std::net::Ipv4Addr;
 
+use ofh_net::FastMap;
 use serde::{Deserialize, Serialize};
 
 /// Countries reported in the paper's Table 10, plus `Other`.
@@ -147,11 +148,13 @@ impl fmt::Display for Country {
 ///
 /// Allocation at fixed prefix granularity (default /16, the typical RIR
 /// allocation grain) keeps lookups O(1): the upper `prefix_len` bits index a
-/// sparse map. Small test universes can use finer grains (e.g. /24).
+/// sparse map. Small test universes can use finer grains (e.g. /24). The
+/// keys are simulated address prefixes, never outside input, and the map
+/// is only looked up, so it uses the fabric's fast hasher.
 #[derive(Debug, Clone)]
 pub struct GeoDb {
     prefix_len: u8,
-    slots: std::collections::HashMap<u32, (Country, u32)>,
+    slots: FastMap<u32, (Country, u32)>,
 }
 
 impl Default for GeoDb {
@@ -171,7 +174,7 @@ impl GeoDb {
         assert!((1..=32).contains(&prefix_len));
         GeoDb {
             prefix_len,
-            slots: std::collections::HashMap::new(),
+            slots: FastMap::default(),
         }
     }
 
@@ -197,15 +200,21 @@ impl GeoDb {
         self.allocate_block(addr, country, asn);
     }
 
+    /// The country and ASN of `addr` in one lookup: `Country::Other` and
+    /// no ASN outside every allocated block.
+    pub fn lookup(&self, addr: Ipv4Addr) -> (Country, Option<u32>) {
+        match self.slots.get(&self.key(addr)) {
+            Some(&(country, asn)) => (country, Some(asn)),
+            None => (Country::Other, None),
+        }
+    }
+
     pub fn country_of(&self, addr: Ipv4Addr) -> Country {
-        self.slots
-            .get(&self.key(addr))
-            .map(|&(c, _)| c)
-            .unwrap_or(Country::Other)
+        self.lookup(addr).0
     }
 
     pub fn asn_of(&self, addr: Ipv4Addr) -> Option<u32> {
-        self.slots.get(&self.key(addr)).map(|&(_, a)| a)
+        self.lookup(addr).1
     }
 
     /// Number of allocated blocks.
@@ -244,6 +253,8 @@ mod tests {
         assert_eq!(db.asn_of("100.64.7.9".parse().unwrap()), Some(3320));
         assert_eq!(db.country_of("100.65.0.1".parse().unwrap()), Country::Other);
         assert_eq!(db.asn_of("100.65.0.1".parse().unwrap()), None);
+        assert_eq!(db.lookup("100.64.7.9".parse().unwrap()), (Country::Germany, Some(3320)));
+        assert_eq!(db.lookup("100.65.0.1".parse().unwrap()), (Country::Other, None));
         assert_eq!(db.allocated(), 1);
     }
 

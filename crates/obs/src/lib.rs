@@ -68,10 +68,6 @@ use std::path::PathBuf;
 
 use serde::{Deserialize, Serialize};
 
-/// Shard id used for the coordinator thread's `ShardObs` (setup / merge /
-/// analysis stages) — its flight dump, if any, is `flight-main.jsonl`.
-pub const COORDINATOR_SHARD: u32 = u32::MAX;
-
 /// Observability configuration — an execution knob, not a simulation
 /// parameter. It is excluded from config serialization (`#[serde(skip)]` at
 /// the embedding site) for the same reason `workers` is: two runs differing
@@ -124,8 +120,7 @@ impl ObsConfig {
 }
 
 /// One shard's observability state: its private metric registry, trace
-/// ring, and flight-recorder ring. Also used (with idle rings) for the
-/// coordinator's global stages.
+/// ring, and flight-recorder ring.
 ///
 /// The flight-dump directory lives *here*, per installed `ShardObs`, not in
 /// process-global state: parallel tests run whole studies concurrently, and
@@ -136,25 +131,14 @@ pub struct ShardObs {
     pub metrics: MetricRegistry,
     pub trace: TraceRing,
     pub flight: FlightRecorder,
-    /// Which shard this state belongs to ([`COORDINATOR_SHARD`] for the
-    /// coordinator thread). Names the flight dump file.
+    /// Which shard this state belongs to. Names the flight dump file.
     pub shard: u32,
     /// Where this shard's flight dumps go; `None` disables dumping.
     pub flight_dir: Option<PathBuf>,
 }
 
 impl ShardObs {
-    pub fn new(trace_capacity: usize) -> ShardObs {
-        ShardObs {
-            metrics: MetricRegistry::new(),
-            trace: TraceRing::new(trace_capacity),
-            flight: FlightRecorder::default(),
-            shard: COORDINATOR_SHARD,
-            flight_dir: None,
-        }
-    }
-
-    /// The full-fat constructor used by the study loop: shard identity plus
+    /// The state the study loop installs for one shard: its identity plus
     /// the trace capacity and flight-dump directory from the config. Every
     /// shard's flight ring holds [`DEFAULT_FLIGHT_CAPACITY`] events.
     pub fn for_shard(shard: u32, cfg: &ObsConfig) -> ShardObs {
@@ -306,9 +290,9 @@ pub fn flight(sim_ms: u64, kind: &'static str, label: &'static str, a: u64, b: u
 }
 
 /// Dump the current thread's flight ring to
-/// `<flight_dir>/flight-<shard>.jsonl` (`flight-main.jsonl` for the
-/// coordinator), returning the path written. `None` when no `ShardObs` is
-/// installed, no dump directory is configured, or the ring is empty.
+/// `<flight_dir>/flight-<shard>.jsonl`, returning the path written. `None`
+/// when no `ShardObs` is installed, no dump directory is configured, or the
+/// ring is empty.
 ///
 /// Called by the panic hook (on the panicking thread, so the thread-local
 /// state is directly reachable) and by the chaos engine at fault-window
@@ -321,12 +305,7 @@ pub fn dump_flight(reason: &str) -> Option<PathBuf> {
         if obs.flight.is_empty() {
             return None;
         }
-        let name = if obs.shard == COORDINATOR_SHARD {
-            "flight-main.jsonl".to_string()
-        } else {
-            format!("flight-{:04}.jsonl", obs.shard)
-        };
-        let path = dir.join(name);
+        let path = dir.join(format!("flight-{:04}.jsonl", obs.shard));
         std::fs::create_dir_all(dir).ok()?;
         std::fs::write(&path, obs.flight.to_jsonl(obs.shard, reason)).ok()?;
         Some(path)
@@ -336,6 +315,15 @@ pub fn dump_flight(reason: &str) -> Option<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A shard's recording target with a small trace ring.
+    fn target() -> ShardObs {
+        let cfg = ObsConfig {
+            trace_capacity: 8,
+            ..ObsConfig::default()
+        };
+        ShardObs::for_shard(0, &cfg)
+    }
 
     #[test]
     fn recording_is_noop_without_install() {
@@ -351,13 +339,13 @@ mod tests {
     #[test]
     fn folded_histograms_match_per_sample_recording() {
         let mut local = Histogram::default();
-        let per_sample = install(ShardObs::new(8));
+        let per_sample = install(target());
         for v in [3, 17, 900, 17] {
             with_obs(|o| o.metrics.observe("bytes", "tcp", v));
             local.record(v);
         }
         let want = per_sample.finish();
-        let folded = install(ShardObs::new(8));
+        let folded = install(target());
         observe_hist_l("bytes", "tcp", &local);
         observe_hist_l("bytes", "udp", &Histogram::default());
         let got = folded.finish();
@@ -367,7 +355,7 @@ mod tests {
 
     #[test]
     fn install_captures_and_finish_returns() {
-        let guard = install(ShardObs::new(8));
+        let guard = install(target());
         assert!(enabled());
         count("probes", 3);
         count("probes", 4);
@@ -385,12 +373,12 @@ mod tests {
     #[test]
     fn dropped_guard_uninstalls() {
         {
-            let _guard = install(ShardObs::new(8));
+            let _guard = install(target());
             count("lost", 1);
             // Dropped without finish: the data is discarded.
         }
         assert!(!enabled());
-        let guard = install(ShardObs::new(8));
+        let guard = install(target());
         count("kept", 1);
         let got = guard.finish();
         assert_eq!(got.metrics.counter("kept", ""), 1);

@@ -75,8 +75,9 @@ fn build_scan_table(input: &StoreInput<'_>) -> Vec<u8> {
             protocol.push(record.protocol.name());
             misconfig.push(record.misconfig().map_or(NONE_LABEL, Misconfig::label));
             device.push(record.device().map(|d| d.name).unwrap_or(NONE_LABEL));
-            country.push(input.geo.country_of(record.addr).code());
-            asns.push(asn_plus1(input.geo.asn_of(record.addr)));
+            let (c, asn) = input.geo.lookup(record.addr);
+            country.push(c.code());
+            asns.push(asn_plus1(asn));
             hp_filtered.push(input.honeypot_filter.contains(&record.addr));
         }
     }
@@ -136,8 +137,9 @@ fn build_events_table(input: &StoreInput<'_>) -> Vec<u8> {
         kind.push(e.kind.name());
         attack_type.push(dataset.attack_type(e).name());
         src_class.push(dataset.classify_source(input.rdns, e.honeypot, e.src).label());
-        country.push(input.geo.country_of(e.src).code());
-        asns.push(asn_plus1(input.geo.asn_of(e.src)));
+        let (c, asn) = input.geo.lookup(e.src);
+        country.push(c.code());
+        asns.push(asn_plus1(asn));
     }
 
     let mut tb = TableBuilder::new(rows);

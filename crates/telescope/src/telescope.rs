@@ -137,9 +137,8 @@ impl FlowTap for Telescope {
             obs.dst_port,
             obs.ip_len as u32,
         );
-        let country = self.geo.country_of(obs.src).code().to_string();
-        let asn = self.geo.asn_of(obs.src);
-        let ft = FlowTuple::from_observation(obs, &country, asn);
+        let (country, asn) = self.geo.lookup(obs.src);
+        let ft = FlowTuple::from_observation(obs, country.code(), asn);
         self.minutes.entry(obs.time.minute_index()).or_default().push(ft);
         self.total += 1;
     }
