@@ -17,7 +17,7 @@ use ofh_net::{Agent, NetCtx, SockAddr, Transport};
 use ofh_wire::coap::{render_link_format, Code, LinkEntry, Message};
 use ofh_wire::{ports, Protocol};
 
-use super::{catalog_row, catalog_rows, row_profile, Responses};
+use super::{catalog_row, row_profiles, Responses};
 use crate::misconfig::Misconfig;
 use crate::profiles::DeviceProfile;
 
@@ -106,8 +106,8 @@ impl Resources {
 fn resource_table() -> &'static [Resources] {
     static TABLE: OnceLock<Vec<Resources>> = OnceLock::new();
     TABLE.get_or_init(|| {
-        (0..catalog_rows())
-            .map(|row| Resources::new(resources_for(row_profile(row))))
+        row_profiles()
+            .map(|profile| Resources::new(resources_for(profile)))
             .collect()
     })
 }
@@ -380,7 +380,7 @@ mod tests {
     #[test]
     fn shared_listings_match_the_per_datagram_encoder() {
         let req = Message::well_known_core_request(0x1234);
-        for profile in crate::PROFILES.iter().map(Some).chain([None]) {
+        for profile in row_profiles() {
             let entries = resources_for(profile);
             for m in Misconfig::ALL {
                 let dev = CoapDevice::cataloged(profile, Some(m));

@@ -91,15 +91,10 @@ pub(crate) fn catalog_row(profile: Option<&DeviceProfile>) -> Option<usize> {
     }
 }
 
-/// The profile served by shared-table row `row` (see [`catalog_row`]).
-pub(crate) fn row_profile(row: usize) -> Option<&'static DeviceProfile> {
-    PROFILES.get(row)
-}
-
-/// Number of rows in a shared response table: one per catalog profile,
-/// plus one for devices with no profile.
-pub(crate) fn catalog_rows() -> usize {
-    PROFILES.len() + 1
+/// The profile each row of a shared response table serves, in row order
+/// (see [`catalog_row`]).
+pub(crate) fn row_profiles() -> impl Iterator<Item = Option<&'static DeviceProfile>> {
+    PROFILES.iter().map(Some).chain([None])
 }
 
 /// A device's encoded responses: its entry in a process-wide table, or its

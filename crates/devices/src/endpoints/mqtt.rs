@@ -16,7 +16,7 @@ use ofh_net::{Agent, ConnToken, NetCtx, SockAddr, TcpDecision, Transport};
 use ofh_wire::mqtt::{ConnectReturnCode, Packet};
 use ofh_wire::{ports, Protocol};
 
-use super::{catalog_row, catalog_rows, row_profile, ConnList};
+use super::{catalog_row, row_profiles, ConnList};
 use crate::misconfig::Misconfig;
 use crate::profiles::DeviceProfile;
 
@@ -83,9 +83,9 @@ fn replies() -> &'static Replies {
                 connack(ConnectReturnCode::NotAuthorized),
             ],
             pingresp: Packet::PingResp.encode().into_boxed_slice(),
-            topics: (0..catalog_rows())
-                .map(|row| {
-                    default_topics(row_profile(row))
+            topics: row_profiles()
+                .map(|profile| {
+                    default_topics(profile)
                         .into_iter()
                         .map(|(topic, payload)| Retained {
                             publish: retained_publish(&topic, &payload).into_boxed_slice(),
@@ -490,7 +490,7 @@ mod tests {
             assert_eq!(&*t.connack[i], &want.encode()[..]);
         }
         assert_eq!(&*t.pingresp, &Packet::PingResp.encode()[..]);
-        for profile in crate::PROFILES.iter().map(Some).chain([None]) {
+        for profile in row_profiles() {
             let dev = MqttDevice::cataloged(profile, Some(Misconfig::MqttNoAuth));
             let Topics::Shared(rows) = dev.topics else {
                 panic!("a catalog broker owns its topics")

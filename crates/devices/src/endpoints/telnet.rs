@@ -17,7 +17,7 @@ use ofh_net::{Agent, ConnToken, NetCtx, SockAddr, TcpDecision, Transport};
 use ofh_wire::telnet::{negotiate, option, Verb};
 use ofh_wire::Protocol;
 
-use super::{catalog_row, catalog_rows, row_profile, text, ConnList, Responses};
+use super::{catalog_row, row_profiles, text, ConnList, Responses};
 use crate::misconfig::Misconfig;
 use crate::profiles::DeviceProfile;
 
@@ -58,9 +58,9 @@ fn greeting(banner: &str, misconfig: Option<Misconfig>) -> Vec<u8> {
 fn greetings() -> &'static [[Box<[u8]>; 3]] {
     static TABLE: OnceLock<Vec<[Box<[u8]>; 3]>> = OnceLock::new();
     TABLE.get_or_init(|| {
-        (0..catalog_rows())
-            .map(|row| {
-                let banner = row_profile(row).map_or(GENERIC_BANNER, |p| p.identifier);
+        row_profiles()
+            .map(|profile| {
+                let banner = profile.map_or(GENERIC_BANNER, |p| p.identifier);
                 [None, Some(Misconfig::TelnetNoAuth), Some(Misconfig::TelnetNoAuthRoot)]
                     .map(|m| greeting(banner, m).into_boxed_slice())
             })
@@ -361,8 +361,7 @@ mod tests {
     fn shared_greetings_match_the_per_connection_encoder() {
         let mut postures = vec![None];
         postures.extend(Misconfig::ALL.map(Some));
-        let profiles = crate::PROFILES.iter().map(Some).chain([None]);
-        for profile in profiles {
+        for profile in row_profiles() {
             let banner = profile.map_or(GENERIC_BANNER, |p| p.identifier);
             for &m in &postures {
                 let dev = TelnetDevice::cataloged(profile, m, 23);

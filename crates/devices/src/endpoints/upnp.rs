@@ -20,7 +20,7 @@ use ofh_net::{Agent, NetCtx, SockAddr, Transport};
 use ofh_wire::ssdp::{DeviceDescription, SsdpMessage};
 use ofh_wire::{ports, Protocol};
 
-use super::{catalog_row, catalog_rows, row_profile, Responses};
+use super::{catalog_row, row_profiles, Responses};
 use crate::misconfig::Misconfig;
 use crate::profiles::DeviceProfile;
 
@@ -93,9 +93,9 @@ struct Replies {
 fn replies() -> &'static Replies {
     static TABLE: OnceLock<Replies> = OnceLock::new();
     TABLE.get_or_init(|| Replies {
-        reflecting: (0..catalog_rows())
-            .map(|row| {
-                let (server, description) = identity_for(row_profile(row));
+        reflecting: row_profiles()
+            .map(|profile| {
+                let (server, description) = identity_for(profile);
                 discovery_reply(Some(Misconfig::UpnpReflection), &server, &description)
                     .into_boxed_slice()
             })
@@ -279,7 +279,7 @@ mod tests {
     fn shared_replies_match_the_per_datagram_renderer() {
         let mut postures = vec![None];
         postures.extend(Misconfig::ALL.map(Some));
-        for profile in crate::PROFILES.iter().map(Some).chain([None]) {
+        for profile in row_profiles() {
             for &m in &postures {
                 let dev = UpnpDevice::cataloged(profile, m);
                 assert!(matches!(dev.reply, Responses::Shared(_)));
