@@ -62,7 +62,7 @@ echo "    reports, stores and traces identical under faults at workers 1 and 8"
 ./target/release/openforhire obsdiff "$OBS_TMP/chaos_w1.json" "$OBS_TMP/chaos_w8.json"
 echo "    snapshots under faults: deterministic sections identical (exit 0)"
 
-echo "==> paper-smoke: report, store, trace, scan export and snapshot invariant across workers"
+echo "==> paper-smoke: report, store, trace, exports and snapshot invariant across workers"
 # paper-smoke is the down-sampled twin of paper-scale: the full IPv4 address
 # space with a CI-sized population, exercising the indexed target space, the
 # timer wheel and the streaming (first-touch) host population end to end.
@@ -70,13 +70,17 @@ echo "==> paper-smoke: report, store, trace, scan export and snapshot invariant 
 # byte-identical report, store and trace, and snapshots whose deterministic
 # sections match (`obsdiff` exits 0). The scan export carries every device
 # response's raw bytes, so a shared response cache whose contents depended
-# on which worker ran which shard would fail its comparison.
+# on which worker ran which shard would fail its comparison. The events and
+# flowtuples exports carry every honeypot event and telescope flow as merged
+# from the shards.
 for W in 1 4; do
     ./target/release/openforhire study --preset paper-smoke --workers "$W" \
         --store-out "$OBS_TMP/paper_w$W.store" --metrics-out "$OBS_TMP/paper_w$W.json" \
         --trace-out "$OBS_TMP/paper_w$W.trace" > "$OBS_TMP/paper_w$W.txt"
-    ./target/release/openforhire export scan --preset paper-smoke --workers "$W" \
-        > "$OBS_TMP/paper_w$W.scan.jsonl"
+    for D in scan events flowtuples; do
+        ./target/release/openforhire export "$D" --preset paper-smoke --workers "$W" \
+            > "$OBS_TMP/paper_w$W.$D.jsonl"
+    done
 done
 cmp "$OBS_TMP/paper_w1.txt" "$OBS_TMP/paper_w4.txt"
 echo "    paper-smoke reports identical at workers 1 and 4"
@@ -84,8 +88,10 @@ cmp "$OBS_TMP/paper_w1.store" "$OBS_TMP/paper_w4.store"
 echo "    paper-smoke stores byte-identical at workers 1 and 4"
 cmp "$OBS_TMP/paper_w1.trace" "$OBS_TMP/paper_w4.trace"
 echo "    paper-smoke traces byte-identical at workers 1 and 4"
-cmp "$OBS_TMP/paper_w1.scan.jsonl" "$OBS_TMP/paper_w4.scan.jsonl"
-echo "    paper-smoke scan exports byte-identical at workers 1 and 4"
+for D in scan events flowtuples; do
+    cmp "$OBS_TMP/paper_w1.$D.jsonl" "$OBS_TMP/paper_w4.$D.jsonl"
+    echo "    paper-smoke $D exports byte-identical at workers 1 and 4"
+done
 ./target/release/openforhire obsdiff "$OBS_TMP/paper_w1.json" "$OBS_TMP/paper_w4.json"
 echo "    paper-smoke snapshots: deterministic sections identical (exit 0)"
 cargo test --release -q -p ofh-net --test wheel_props --test lazy_hosts --test stateless_probes
