@@ -7,11 +7,12 @@
 //! "unknown/suspicious". DoS is detected from per-source-per-minute rates,
 //! not from actor ground truth.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 use ofh_honeypots::{AttackEvent, EventKind};
 use ofh_intel::ReverseDns;
+use ofh_net::{FastMap, FastSet};
 use ofh_wire::Protocol;
 use serde::Serialize;
 
@@ -102,15 +103,20 @@ struct SourceSummary {
 }
 
 /// The merged honeypot event dataset.
+///
+/// The flood flags and source summaries are hash tables keyed by honeypot
+/// name: they are only looked up, or counted whole, never iterated in an
+/// order an output could see. The keys are simulated sources and the
+/// honeypots' own names, which the fast hasher is meant for.
 pub struct AttackDataset {
     pub events: Vec<AttackEvent>,
     /// Minute-rate DoS flags per (src, honeypot, protocol).
-    dos_sources: BTreeSet<(Ipv4Addr, &'static str, Protocol)>,
+    dos_sources: FastSet<(Ipv4Addr, &'static str, Protocol)>,
     /// Aggregate (distributed) flood episodes per (honeypot, protocol,
     /// minute).
-    dos_minutes: BTreeSet<(&'static str, Protocol, u64)>,
+    dos_minutes: FastSet<(&'static str, Protocol, u64)>,
     /// Per-(honeypot, src) classification inputs, one entry per pair seen.
-    source_summaries: BTreeMap<(&'static str, Ipv4Addr), SourceSummary>,
+    source_summaries: FastMap<(&'static str, Ipv4Addr), SourceSummary>,
 }
 
 impl AttackDataset {
@@ -120,9 +126,9 @@ impl AttackDataset {
         let mut events: Vec<AttackEvent> = logs.into_iter().flatten().collect();
         events.sort_by_key(|e| (e.time, e.src, e.src_port));
         // Flood detection by per-minute rates.
-        let mut per_minute: BTreeMap<(Ipv4Addr, &'static str, Protocol, u64), usize> =
-            BTreeMap::new();
-        let mut aggregate: BTreeMap<(&'static str, Protocol, u64), usize> = BTreeMap::new();
+        let mut per_minute: FastMap<(Ipv4Addr, &'static str, Protocol, u64), usize> =
+            FastMap::default();
+        let mut aggregate: FastMap<(&'static str, Protocol, u64), usize> = FastMap::default();
         for e in &events {
             let minute = e.time.minute_index();
             *per_minute
@@ -144,9 +150,9 @@ impl AttackDataset {
             events,
             dos_sources,
             dos_minutes,
-            source_summaries: BTreeMap::new(),
+            source_summaries: FastMap::default(),
         };
-        let mut summaries: BTreeMap<(&'static str, Ipv4Addr), SourceSummary> = BTreeMap::new();
+        let mut summaries: FastMap<(&'static str, Ipv4Addr), SourceSummary> = FastMap::default();
         for e in &dataset.events {
             let summary = summaries.entry((e.honeypot, e.src)).or_default();
             summary.events += 1;

@@ -25,25 +25,45 @@ pub struct Fig2 {
 }
 
 impl Fig2 {
+    /// Hosts per (protocol, device type), and untyped records per protocol.
+    /// One walk along the records' (address, port) order: a host's records
+    /// are adjacent, so each (address, protocol, type) is counted the first
+    /// time it shows.
     pub fn compute(zmap: &ScanResults) -> Fig2 {
-        let mut cells: BTreeMap<(Protocol, DeviceType), BTreeSet<Ipv4Addr>> = BTreeMap::new();
-        let mut unidentified: BTreeMap<Protocol, u64> = BTreeMap::new();
-        for r in zmap.records.values() {
-            match r.device() {
-                Some(profile) => {
-                    cells
-                        .entry((r.protocol, profile.device_type))
-                        .or_default()
-                        .insert(r.addr);
-                }
-                None => *unidentified.entry(r.protocol).or_insert(0) += 1,
+        // Indexed by discriminant; each `ALL` holds every variant.
+        let mut hosts = [[0u64; DeviceType::ALL.len()]; Protocol::ALL.len()];
+        let mut untyped = [0u64; Protocol::ALL.len()];
+        let mut host = None;
+        let mut seen: Vec<(Protocol, DeviceType)> = Vec::new();
+        for r in &zmap.records {
+            let Some(profile) = r.device() else {
+                untyped[r.protocol as usize] += 1;
+                continue;
+            };
+            if host != Some(r.addr) {
+                host = Some(r.addr);
+                seen.clear();
+            }
+            let cell = (r.protocol, profile.device_type);
+            if !seen.contains(&cell) {
+                seen.push(cell);
+                hosts[cell.0 as usize][cell.1 as usize] += 1;
             }
         }
+        // Both enums order by declaration, as their `ALL`s list them.
+        let cells = Protocol::ALL
+            .iter()
+            .flat_map(|&p| DeviceType::ALL.iter().map(move |&t| (p, t)))
+            .map(|(p, t)| (p, t, hosts[p as usize][t as usize]))
+            .filter(|&(_, _, n)| n > 0)
+            .collect();
+        let unidentified = Protocol::ALL
+            .iter()
+            .map(|&p| (p, untyped[p as usize]))
+            .filter(|&(_, n)| n > 0)
+            .collect();
         Fig2 {
-            cells: cells
-                .into_iter()
-                .map(|((p, t), set)| (p, t, set.len() as u64))
-                .collect(),
+            cells,
             unidentified,
         }
     }

@@ -49,14 +49,14 @@ pub struct ScanRow {
 }
 
 impl ScanRow {
-    /// One source's rows, in record order: by address, so a host's rows
-    /// are adjacent.
+    /// One source's rows, in record order: by (address, port), so a host's
+    /// rows are adjacent.
     pub fn of<'a>(
         source: ScanSource,
         results: &'a ScanResults,
         honeypot_filter: &'a BTreeSet<Ipv4Addr>,
     ) -> impl Iterator<Item = ScanRow> + 'a {
-        results.records.values().map(move |r| ScanRow {
+        results.records.iter().map(move |r| ScanRow {
             source,
             addr: r.addr,
             protocol: r.protocol,

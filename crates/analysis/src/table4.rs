@@ -155,7 +155,7 @@ mod tests {
             &[(Protocol::Telnet, 70), (Protocol::Mqtt, 48), (Protocol::Amqp, 3)],
         );
         // A host seen on a second Telnet port counts once.
-        let first = zmap.records.values().next().unwrap().addr;
+        let first = zmap.records[0].addr;
         zmap.insert(HostRecord::new(first, 2323, Protocol::Telnet, "x", Vec::new()));
         let sonar = results("Project Sonar", &[(Protocol::Telnet, 60)]);
         let shodan = results("Shodan", &[(Protocol::Telnet, 2)]);

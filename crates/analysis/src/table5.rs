@@ -1,7 +1,7 @@
 //! Table 5 — misconfigured devices per protocol/vulnerability, after the
 //! honeypot-sanitization filter.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 use ofh_devices::Misconfig;
@@ -35,11 +35,17 @@ impl Table5 {
     }
 
     /// Unique misconfigured ZMap hosts per class, honeypot-filtered rows
-    /// left out. One pass, reading each row's class.
+    /// left out. One walk, reading each row's class: the rows come in
+    /// (source, addr) order, so one host's rows are adjacent and each
+    /// (addr, class) is counted the first time it shows, as is each
+    /// misconfigured addr for the total.
     pub fn fold(rows: impl IntoIterator<Item = ScanRow>) -> Table5 {
-        let mut per_class: BTreeMap<Misconfig, BTreeSet<Ipv4Addr>> = BTreeMap::new();
-        let mut any: BTreeSet<Ipv4Addr> = BTreeSet::new();
+        // Indexed by discriminant; `Misconfig::ALL` holds every variant.
+        let mut per_class = [0u64; Misconfig::ALL.len()];
+        let mut total = 0u64;
         let mut honeypots_filtered = 0usize;
+        let mut host = None;
+        let mut seen: Vec<Misconfig> = Vec::new();
         for r in rows {
             if r.source != ScanSource::ZMap {
                 continue;
@@ -48,23 +54,31 @@ impl Table5 {
                 honeypots_filtered += 1;
                 continue;
             }
-            if let Some(class) = r.misconfig {
-                per_class.entry(class).or_default().insert(r.addr);
-                any.insert(r.addr);
+            let Some(class) = r.misconfig else {
+                continue;
+            };
+            if host != Some(r.addr) {
+                host = Some(r.addr);
+                seen.clear();
+                total += 1;
+            }
+            if !seen.contains(&class) {
+                seen.push(class);
+                per_class[class as usize] += 1;
             }
         }
         let mut rows: Vec<Table5Row> = Misconfig::ALL
             .iter()
             .map(|&class| Table5Row {
                 class,
-                devices: per_class.get(&class).map_or(0, |s| s.len() as u64),
+                devices: per_class[class as usize],
             })
             .collect();
         // Table 5 is ordered ascending by count.
         rows.sort_by_key(|r| r.devices);
         Table5 {
             rows,
-            total: any.len() as u64,
+            total,
             honeypots_filtered,
         }
     }
@@ -80,7 +94,7 @@ impl Table5 {
     ) -> BTreeSet<Ipv4Addr> {
         results
             .records
-            .values()
+            .iter()
             .filter(|r| !honeypot_filter.contains(&r.addr) && r.misconfig().is_some())
             .map(|r| r.addr)
             .collect()

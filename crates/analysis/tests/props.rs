@@ -1,19 +1,20 @@
 //! Property tests for the analysis layer: totality and partition invariants
 //! over arbitrary event streams, and differential checks of the one-pass
-//! source classification and Tables 4 and 5 against naive references.
+//! source classification, the dataset's flood flags, Tables 4 and 5 and
+//! Fig. 2 against naive references.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 use ofh_analysis::events::{
-    register_service_rdns, AttackDataset, SourceClass, DDOS_AGGREGATE_PER_MINUTE,
+    register_service_rdns, AttackDataset, AttackType, SourceClass, DDOS_AGGREGATE_PER_MINUTE,
     DOS_EVENTS_PER_MINUTE,
 };
-use ofh_analysis::figures::AttackTypeBreakdown;
+use ofh_analysis::figures::{AttackTypeBreakdown, Fig2};
 use ofh_analysis::table4::Table4;
 use ofh_analysis::table5::Table5;
 use ofh_analysis::table7::Table7;
-use ofh_devices::Misconfig;
+use ofh_devices::{DeviceType, Misconfig, PROFILES};
 use ofh_honeypots::{AttackEvent, EventKind, HoneypotKind};
 use ofh_intel::ReverseDns;
 use ofh_net::SimTime;
@@ -251,6 +252,159 @@ fn check_against_naive(events: Vec<AttackEvent>, rdns: &ReverseDns) {
     }
 }
 
+/// The flood flags and source summaries as `AttackDataset::merge` built
+/// them before it counted in hash tables: B-trees keyed by honeypot name.
+/// Kept as the oracle for the hash tables.
+struct TreeOracle {
+    dos_sources: BTreeSet<(Ipv4Addr, &'static str, Protocol)>,
+    dos_minutes: BTreeSet<(&'static str, Protocol, u64)>,
+    /// (events, malicious) per (honeypot, src).
+    summaries: BTreeMap<(&'static str, Ipv4Addr), (usize, bool)>,
+}
+
+impl TreeOracle {
+    fn new(events: &[AttackEvent]) -> TreeOracle {
+        let mut per_minute: BTreeMap<(Ipv4Addr, &'static str, Protocol, u64), usize> =
+            BTreeMap::new();
+        let mut aggregate: BTreeMap<(&'static str, Protocol, u64), usize> = BTreeMap::new();
+        for e in events {
+            let minute = e.time.minute_index();
+            *per_minute.entry((e.src, e.honeypot, e.protocol, minute)).or_insert(0) += 1;
+            *aggregate.entry((e.honeypot, e.protocol, minute)).or_insert(0) += 1;
+        }
+        let mut oracle = TreeOracle {
+            dos_sources: per_minute
+                .into_iter()
+                .filter(|(_, n)| *n >= DOS_EVENTS_PER_MINUTE)
+                .map(|((src, hp, proto, _), _)| (src, hp, proto))
+                .collect(),
+            dos_minutes: aggregate
+                .into_iter()
+                .filter(|(_, n)| *n >= DDOS_AGGREGATE_PER_MINUTE)
+                .map(|(key, _)| key)
+                .collect(),
+            summaries: BTreeMap::new(),
+        };
+        for e in events {
+            let malicious = matches!(
+                e.kind,
+                EventKind::LoginAttempt { .. }
+                    | EventKind::PayloadDrop { .. }
+                    | EventKind::DataWrite { .. }
+                    | EventKind::ExploitSignature { .. }
+            ) || oracle.in_flood(e);
+            let summary = oracle.summaries.entry((e.honeypot, e.src)).or_default();
+            summary.0 += 1;
+            summary.1 |= malicious;
+        }
+        oracle
+    }
+
+    fn in_flood(&self, e: &AttackEvent) -> bool {
+        self.dos_sources.contains(&(e.src, e.honeypot, e.protocol))
+            || self.dos_minutes.contains(&(e.honeypot, e.protocol, e.time.minute_index()))
+    }
+
+    fn classify(&self, rdns: &ReverseDns, honeypot: &'static str, src: Ipv4Addr) -> SourceClass {
+        if AttackDataset::is_scanning_service(rdns, src) {
+            return SourceClass::ScanningService;
+        }
+        match self.summaries.get(&(honeypot, src)) {
+            Some(&(events, malicious)) if malicious || events > 6 => SourceClass::Malicious,
+            _ => SourceClass::Unknown,
+        }
+    }
+}
+
+/// The merged dataset's flood flags, DoS source count and source classes
+/// equal the B-tree oracle's. The flags are probed with a datagram at every
+/// event's (src, honeypot, protocol, minute), at the same place on every
+/// honeypot, from a source no event has, and a day later, so single-source
+/// and distributed floods are each seen alone.
+fn check_against_tree_oracle(events: Vec<AttackEvent>, rdns: &ReverseDns) {
+    let ds = AttackDataset::merge(vec![events.clone()]);
+    let oracle = TreeOracle::new(&events);
+    let stranger = Ipv4Addr::new(203, 0, 113, 1);
+    for e in &events {
+        for honeypot in HoneypotKind::ALL.map(HoneypotKind::name) {
+            for (src, time) in [
+                (e.src, e.time),
+                (stranger, e.time),
+                (e.src, SimTime(e.time.0 + 86_400_000)),
+            ] {
+                let probe = AttackEvent {
+                    time,
+                    honeypot,
+                    protocol: e.protocol,
+                    src,
+                    src_port: 0,
+                    kind: EventKind::Datagram { len: 1 },
+                };
+                assert_eq!(
+                    ds.attack_type(&probe) == AttackType::Dos,
+                    oracle.in_flood(&probe),
+                    "{probe:?}"
+                );
+            }
+        }
+    }
+    let dos_sources: BTreeSet<Ipv4Addr> = oracle.dos_sources.iter().map(|k| k.0).collect();
+    assert_eq!(ds.dos_source_count(), dos_sources.len());
+    let mut lookups: BTreeSet<Ipv4Addr> = events.iter().map(|e| e.src).collect();
+    lookups.extend((0..DENSE_SOURCES + 2).map(dense_src));
+    for honeypot in HoneypotKind::ALL.map(HoneypotKind::name) {
+        for &src in &lookups {
+            assert_eq!(
+                ds.classify_source(rdns, honeypot, src),
+                oracle.classify(rdns, honeypot, src),
+                "{honeypot} {src}"
+            );
+        }
+    }
+}
+
+/// Fig. 2 as it was counted before it walked the records' order: a set of
+/// addresses per (protocol, device type), and untyped records per protocol.
+/// Kept as the oracle for the one-walk count.
+fn fig2_by_sets(results: &ScanResults) -> Fig2 {
+    let mut cells: BTreeMap<(Protocol, DeviceType), BTreeSet<Ipv4Addr>> = BTreeMap::new();
+    let mut unidentified: BTreeMap<Protocol, u64> = BTreeMap::new();
+    for r in &results.records {
+        match r.device() {
+            Some(profile) => {
+                cells.entry((r.protocol, profile.device_type)).or_default().insert(r.addr);
+            }
+            None => *unidentified.entry(r.protocol).or_insert(0) += 1,
+        }
+    }
+    Fig2 {
+        cells: cells.into_iter().map(|((p, t), set)| (p, t, set.len() as u64)).collect(),
+        unidentified,
+    }
+}
+
+/// Responses ZTag types: every catalog profile's identifier under its own
+/// protocol and under a second one, plus untyped text.
+fn typed_responses() -> Vec<(Protocol, String)> {
+    PROFILES
+        .iter()
+        .flat_map(|p| [(p.protocol, p.identifier.to_string()), (Protocol::Telnet, p.identifier.to_string())])
+        .chain([(Protocol::Telnet, "login:".into()), (Protocol::Coap, String::new())])
+        .collect()
+}
+
+#[test]
+fn typed_responses_type_every_profile() {
+    let typed: BTreeSet<&str> = typed_responses()
+        .iter()
+        .filter_map(|(protocol, text)| {
+            HostRecord::new(Ipv4Addr::LOCALHOST, 1, *protocol, text.as_str(), Vec::new()).device()
+        })
+        .map(|profile| profile.name)
+        .collect();
+    assert_eq!(typed.len(), PROFILES.len());
+}
+
 /// The classifier-relevant (protocol, response) pairs: at least one hit
 /// per `Misconfig` class and near misses for each protocol.
 const RESPONSES: [(Protocol, &str); 16] = [
@@ -366,6 +520,46 @@ proptest! {
         events in prop::collection::vec(arb_event(), 0..200),
     ) {
         check_against_naive(events, &ReverseDns::new());
+    }
+
+    /// The hash-table flood flags and summaries equal the B-tree oracle on
+    /// dense streams: floods of both kinds, recurring pairs and rDNS
+    /// registrations.
+    #[test]
+    fn merge_matches_tree_oracle_dense(case in arb_dense()) {
+        let (events, registered) = case;
+        check_against_tree_oracle(events, &dense_rdns(registered));
+    }
+
+    /// The same on sparse streams over random sources and a month of time.
+    #[test]
+    fn merge_matches_tree_oracle_sparse(events in prop::collection::vec(arb_event(), 0..200)) {
+        check_against_tree_oracle(events, &ReverseDns::new());
+    }
+
+    /// The one-walk Fig. 2 equals the set-based count: addresses repeat
+    /// across ports, protocols and device types.
+    #[test]
+    fn fig2_one_walk_matches_address_sets(
+        records in prop::collection::vec((0u32..40, 0u16..3, any::<usize>()), 0..160),
+    ) {
+        let responses = typed_responses();
+        let mut results = ScanResults::new("ZMap Scan");
+        for (addr, port_offset, response) in records {
+            let (protocol, text) = &responses[response % responses.len()];
+            results.insert(HostRecord::new(
+                Ipv4Addr::from(0xc0a8_0000 + addr),
+                protocol.port() + port_offset,
+                *protocol,
+                text.as_str(),
+                text.as_bytes(),
+            ));
+        }
+        let got = Fig2::compute(&results);
+        let want = fig2_by_sets(&results);
+        prop_assert_eq!(got.render(), want.render());
+        prop_assert_eq!(got.cells, want.cells);
+        prop_assert_eq!(got.unidentified, want.unidentified);
     }
 
     /// The one-walk Table 4 counts equal the per-protocol `exposed_hosts`

@@ -150,7 +150,7 @@ fn single_vs_multi_port(c: &mut Criterion) {
         let end = scanner.estimated_end();
         let id = net.attach(universe.scanner_addr(), Box::new(scanner));
         net.run_until(end);
-        net.agent_downcast::<Scanner>(id).unwrap().results.exposed_hosts(Protocol::Telnet)
+        net.agent_downcast_mut::<Scanner>(id).unwrap().take_results().exposed_hosts(Protocol::Telnet)
     };
     let mut g = c.benchmark_group("ablation/telnet_ports");
     g.sample_size(10);

@@ -41,7 +41,7 @@ fn scan_sweep(seed: u64) -> ofh_scan::ScanResults {
     let end = scanner.estimated_end();
     let id = net.attach(universe.scanner_addr(), Box::new(scanner));
     net.run_until(end);
-    net.agent_downcast_mut::<Scanner>(id).unwrap().results.clone()
+    net.agent_downcast_mut::<Scanner>(id).unwrap().take_results()
 }
 
 fn table4_and_5(c: &mut Criterion) {

@@ -528,7 +528,7 @@ impl Study {
             }
             simulate_node.push_child(out.profile);
         }
-        // Shard parts are sorted runs in shard order: one bulk pass each.
+        // Each shard's part is a sorted run; each merge interleaves them.
         let zmap_results = ScanResults::merge(ScanSource::ZMap.label(), zmap_parts);
         let sonar_results = ScanResults::merge(ScanSource::Sonar.label(), sonar_parts);
         let shodan_results = ScanResults::merge(ScanSource::Shodan.label(), shodan_parts);
@@ -842,14 +842,14 @@ fn run_shard(inputs: &ShardInputs<'_>, spec: ShardSpec) -> ShardOutput {
         scan_end + ofh_net::SimDuration::from_secs(30)
     };
     net.run_until(scan_end);
+    // Seal the ZMap capture at the scan boundary, so passive fingerprinting
+    // reads the records in (address, port) order.
+    let zmap = net
+        .agent_downcast_mut::<Scanner>(zmap_id)
+        .expect("zmap scanner")
+        .take_results();
     profile.push_child(phase_sw.leaf("scan"));
     let phase_sw = Stopwatch::start();
-    let zmap = std::mem::take(
-        &mut net
-            .agent_downcast_mut::<Scanner>(zmap_id)
-            .expect("zmap scanner")
-            .results,
-    );
 
     // ---- Fingerprint phase ---------------------------------------------
     let candidates = engine::passive_candidates(inputs.signatures, &zmap);
@@ -963,7 +963,7 @@ fn extract_results(
     resilience.absorb(&s.resilience);
     *leaked += s.leaked_state();
     s.flush_obs();
-    std::mem::take(&mut s.results)
+    s.take_results()
 }
 
 /// Ground-truth-free helper used by tests: build just the population.

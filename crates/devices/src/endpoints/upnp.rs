@@ -17,7 +17,7 @@ use std::sync::OnceLock;
 
 use ofh_net::Payload;
 use ofh_net::{Agent, NetCtx, SockAddr, Transport};
-use ofh_wire::ssdp::{DeviceDescription, SsdpMessage};
+use ofh_wire::ssdp::{self, DeviceDescription, SsdpMessage};
 use ofh_wire::{ports, Protocol};
 
 use super::{catalog_row, row_profiles, Responses};
@@ -153,13 +153,7 @@ impl Agent for UpnpDevice {
         if !super::serves(Protocol::Upnp, ports::SSDP, Transport::Udp, local_port) {
             return;
         }
-        let Ok(text) = std::str::from_utf8(payload) else {
-            return;
-        };
-        let Ok(msg) = SsdpMessage::parse(text) else {
-            return;
-        };
-        if !msg.is_msearch() {
+        if !std::str::from_utf8(payload).is_ok_and(ssdp::is_msearch) {
             return;
         }
         self.responses_sent += 1;

@@ -96,7 +96,7 @@ pub fn passive_candidates(
     let (mut bytes, mut matches) = (0u64, 0u64);
     let candidates: Vec<_> = results
         .records
-        .values()
+        .iter()
         .filter_map(|r| {
             let raw = r.raw();
             let (family, hits) = *verdicts

@@ -9,7 +9,7 @@ use ofh_fingerprint::engine::passive_candidates;
 use ofh_fingerprint::matcher::{naive_find_all, AhoCorasick};
 use ofh_fingerprint::SignatureDb;
 use ofh_obs::{MetricRegistry, ObsConfig, ShardObs};
-use ofh_scan::{HostRecord, ScanResults};
+use ofh_scan::{HostRecord, ScanCapture};
 use ofh_wire::Protocol;
 use proptest::prelude::*;
 
@@ -114,7 +114,7 @@ proptest! {
     /// `passive_candidates` matches each distinct raw buffer once: its
     /// candidates, in record order, equal `match_banner` run on every
     /// record, and the `fingerprint.ac.*` counters it records equal the
-    /// per-record sums. The records come from `ScanResults::record` with
+    /// per-record sums. The records come from `ScanCapture::record` with
     /// heavily repeated banners (one shared buffer per protocol and
     /// bytes), plus one-off `HostRecord::new` records whose bytes equal
     /// pooled ones but sit in buffers of their own.
@@ -125,12 +125,13 @@ proptest! {
     ) {
         let db = SignatureDb::new();
         let pool = banner_pool(&db);
-        let mut results = ScanResults::new("ZMap Scan");
+        let mut capture = ScanCapture::new("ZMap Scan");
         for &(host, banner, protocol) in &grabs {
             let protocol = Protocol::SCANNED[protocol];
             let port = 1_000 + protocol as u16;
-            results.record(Ipv4Addr::from(0x1000_0000 + host), port, protocol, &pool[banner % pool.len()]);
+            capture.record(Ipv4Addr::from(0x1000_0000 + host), port, protocol, &pool[banner % pool.len()]);
         }
+        let mut results = capture.seal();
         for &(host, banner) in &one_offs {
             let raw = pool[banner % pool.len()].clone();
             results.insert(HostRecord::new(Ipv4Addr::from(0x1000_0000 + host), 2_323, Protocol::Telnet, "", raw));
@@ -143,7 +144,7 @@ proptest! {
         let guard = ofh_obs::install(ShardObs::for_shard(0, &ObsConfig::default()));
         let expected: Vec<_> = results
             .records
-            .values()
+            .iter()
             .filter_map(|r| db.match_banner(r.raw()).map(|family| (r.addr, r.port, family)))
             .collect();
         let oracle = guard.finish();

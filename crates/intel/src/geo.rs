@@ -88,6 +88,29 @@ impl Country {
         }
     }
 
+    /// Every country, in declaration order.
+    pub const ALL: [Country; 19] = [
+        Country::Usa,
+        Country::China,
+        Country::Russia,
+        Country::Taiwan,
+        Country::Germany,
+        Country::Philippines,
+        Country::Uk,
+        Country::Brazil,
+        Country::India,
+        Country::Thailand,
+        Country::HongKong,
+        Country::SouthKorea,
+        Country::Israel,
+        Country::Canada,
+        Country::Bangladesh,
+        Country::France,
+        Country::Japan,
+        Country::Italy,
+        Country::Other,
+    ];
+
     /// All named countries (excluding `Other`), in Table 10 order.
     pub const TABLE10: [Country; 17] = [
         Country::Usa,

@@ -21,7 +21,8 @@
 //!   independent scanners with their own coverage models — Table 4's
 //!   source-to-source deltas are *measured*, not transcribed;
 //! * [`schedule`] — the scan calendar of Appendix Table 9;
-//! * [`results`] — the scan-result dataset with merge/count/export.
+//! * [`results`] — the scan capture and the sorted scan-result dataset
+//!   with merge/count/export.
 
 pub mod bitset;
 pub mod classify;
@@ -35,6 +36,6 @@ pub mod ztag;
 
 pub use classify::classify_response;
 pub use iterator::AddressPermutation;
-pub use results::{HostRecord, ScanResults};
+pub use results::{HostRecord, ScanCapture, ScanResults, SortedRecords};
 pub use scanner::{RetryPolicy, ScanResilience, Scanner, ScannerConfig, TargetSpace};
 pub use schedule::scan_start;

@@ -32,7 +32,7 @@ use rand::{Rng, SeedableRng};
 use crate::bitset::BitSet;
 use crate::iterator::AddressPermutation;
 use crate::probe;
-use crate::results::ScanResults;
+use crate::results::{ScanCapture, ScanResults};
 
 /// What a sweep permutes over: the whole address range, or a sparse index.
 ///
@@ -288,9 +288,11 @@ struct PortTracker {
 }
 
 /// The scanning agent. Attach at the scanning host's address, run the
-/// network past the expected completion time, then read [`Scanner::results`].
+/// network past the expected completion time, then take the dataset with
+/// [`Scanner::take_results`].
 pub struct Scanner {
-    pub results: ScanResults,
+    /// Every response so far, in arrival order.
+    capture: ScanCapture,
     /// Retry/backoff policy for interrupted grabs (ZGrab behaviour).
     pub retry: RetryPolicy,
     /// Degradation accounting: losses, retries, recoveries.
@@ -347,7 +349,7 @@ impl Scanner {
         }
         let udp_track = Self::build_udp_tracker(&sweeps);
         Scanner {
-            results: ScanResults::new(source),
+            capture: ScanCapture::new(source),
             retry: RetryPolicy::default(),
             resilience: ScanResilience::default(),
             sweeps,
@@ -361,6 +363,12 @@ impl Scanner {
             message_id: 1,
             active_sweeps: active,
         }
+    }
+
+    /// Seal the responses recorded so far into a dataset
+    /// ([`ScanCapture::seal`]), leaving an empty capture behind.
+    pub fn take_results(&mut self) -> ScanResults {
+        std::mem::take(&mut self.capture).seal()
     }
 
     /// In-flight grabs plus parked retries — must be zero once the network
@@ -615,7 +623,7 @@ impl Scanner {
         );
         // Empty buffer = responsive host with no banner: still recorded,
         // with an empty response (the port is provably open).
-        self.results.record(grab.addr, grab.port, protocol, &grab.buf);
+        self.capture.record(grab.addr, grab.port, protocol, &grab.buf);
         if close {
             ctx.tcp_close(conn);
         }
@@ -755,7 +763,7 @@ impl Agent for Scanner {
             peer.port,
             payload.len() as u32,
         );
-        self.results.record(peer.addr, peer.port, protocol, payload);
+        self.capture.record(peer.addr, peer.port, protocol, payload);
     }
 }
 
@@ -781,7 +789,7 @@ mod tests {
         let end = scanner.estimated_end();
         let sid = net.attach(ip(16, 3, 0, 1), Box::new(scanner));
         net.run_until(end);
-        net.agent_downcast_mut::<Scanner>(sid).unwrap().results.clone()
+        net.agent_downcast_mut::<Scanner>(sid).unwrap().take_results()
     }
 
     #[test]
@@ -810,7 +818,7 @@ mod tests {
             .misconfigured_addrs(Misconfig::TelnetNoAuth)
             .contains(&ip(16, 4, 0, 30)));
         // Device tagging works on the scan output.
-        let rec = results.records.get(&(ip(16, 4, 0, 20), 23)).unwrap();
+        let rec = results.get(ip(16, 4, 0, 20), 23).unwrap();
         assert_eq!(rec.device().unwrap().name, "HiKVision Camera");
     }
 
@@ -827,11 +835,11 @@ mod tests {
             net.attach(ip(16, 4, 0, 50), Box::new(MqttDevice::new(None, vec![])));
         });
         assert_eq!(results.exposed_hosts(Protocol::Mqtt), 2);
-        let open = results.records.get(&(ip(16, 4, 0, 40), 1883)).unwrap();
+        let open = results.get(ip(16, 4, 0, 40), 1883).unwrap();
         assert!(open.response().contains("MQTT Connection Code:0"));
         assert!(open.response().contains("topic: homeassistant/light/k"));
         assert_eq!(open.misconfig(), Some(Misconfig::MqttNoAuth));
-        let closed = results.records.get(&(ip(16, 4, 0, 50), 1883)).unwrap();
+        let closed = results.get(ip(16, 4, 0, 50), 1883).unwrap();
         assert_eq!(closed.misconfig(), None);
     }
 
@@ -851,10 +859,10 @@ mod tests {
             net.attach(ip(16, 4, 0, 61), Box::new(CoapDevice::new(None, vec![])));
         });
         assert_eq!(results.exposed_hosts(Protocol::Coap), 2);
-        let reflect = results.records.get(&(ip(16, 4, 0, 60), 5683)).unwrap();
+        let reflect = results.get(ip(16, 4, 0, 60), 5683).unwrap();
         assert_eq!(reflect.misconfig(), Some(Misconfig::CoapReflection));
         assert_eq!(reflect.device().unwrap().name, "NDM");
-        let safe = results.records.get(&(ip(16, 4, 0, 61), 5683)).unwrap();
+        let safe = results.get(ip(16, 4, 0, 61), 5683).unwrap();
         assert_eq!(safe.misconfig(), None);
     }
 
@@ -870,7 +878,7 @@ mod tests {
                 )),
             );
         });
-        let rec = results.records.get(&(ip(16, 4, 0, 70), 1900)).unwrap();
+        let rec = results.get(ip(16, 4, 0, 70), 1900).unwrap();
         assert_eq!(rec.misconfig(), Some(Misconfig::UpnpReflection));
         assert_eq!(rec.device().unwrap().name, "Avtech AVN801");
     }
@@ -888,8 +896,8 @@ mod tests {
         let end = scanner.estimated_end();
         let sid = net.attach(ip(16, 3, 0, 1), Box::new(scanner));
         net.run_until(end);
-        let s = net.agent_downcast::<Scanner>(sid).unwrap();
-        assert!(s.results.is_empty());
+        let s = net.agent_downcast_mut::<Scanner>(sid).unwrap();
+        assert!(s.take_results().is_empty());
         assert!(s.all_probes_sent());
         assert_eq!(s.probes_sent(), 0);
     }
@@ -913,7 +921,7 @@ mod tests {
             let end = scanner.estimated_end();
             let sid = net.attach(ip(16, 3, 0, 1), Box::new(scanner));
             net.run_until(end);
-            net.agent_downcast::<Scanner>(sid).unwrap().results.len()
+            net.agent_downcast_mut::<Scanner>(sid).unwrap().take_results().len()
         };
         let a = run();
         let b = run();
@@ -950,9 +958,9 @@ mod tests {
             let end = scanner.estimated_end() + SimDuration::from_secs(30);
             let sid = net.attach(ip(16, 3, 0, 1), Box::new(scanner));
             net.run_until(end);
-            let s = net.agent_downcast::<Scanner>(sid).unwrap();
+            let s = net.agent_downcast_mut::<Scanner>(sid).unwrap();
             assert_eq!(s.leaked_state(), 0, "grabs or retries leaked");
-            (s.resilience, s.results.len())
+            (s.resilience, s.take_results().len())
         };
         let (r, found) = run();
         assert!(r.first_attempt_losses > 0, "faults never bit: {r:?}");
@@ -984,11 +992,12 @@ mod tests {
         let end = scanner.estimated_end();
         let sid = net.attach(ip(16, 3, 0, 1), Box::new(scanner));
         net.run_until(end);
-        let s = net.agent_downcast::<Scanner>(sid).unwrap();
+        let s = net.agent_downcast_mut::<Scanner>(sid).unwrap();
         assert_eq!(s.probes_sent(), offsets.len() as u64);
         assert!(s.all_probes_sent());
-        assert_eq!(s.results.exposed_hosts(Protocol::Telnet), 1);
-        assert!(s.results.records.contains_key(&(ip(16, 4, 0, 10), 23)));
+        let results = s.take_results();
+        assert_eq!(results.exposed_hosts(Protocol::Telnet), 1);
+        assert!(results.get(ip(16, 4, 0, 10), 23).is_some());
     }
 
     #[test]
@@ -1015,8 +1024,8 @@ mod tests {
         let end = scanner.estimated_end();
         let sid = net.attach(ip(16, 3, 0, 1), Box::new(scanner));
         net.run_until(end);
-        let s = net.agent_downcast::<Scanner>(sid).unwrap();
-        let rec = s.results.records.get(&(ip(16, 4, 0, 77), 5683)).unwrap();
+        let results = net.agent_downcast_mut::<Scanner>(sid).unwrap().take_results();
+        let rec = results.get(ip(16, 4, 0, 77), 5683).unwrap();
         assert_eq!(rec.misconfig(), Some(Misconfig::CoapReflection));
     }
 
@@ -1044,11 +1053,8 @@ mod tests {
             let end = scanner.estimated_end();
             let sid = net.attach(ip(16, 3, 0, 1), Box::new(scanner));
             net.run_until(end);
-            let s = net.agent_downcast::<Scanner>(sid).unwrap();
-            let mut addrs: Vec<Ipv4Addr> =
-                s.results.records.keys().map(|&(a, _)| a).collect();
-            addrs.sort_unstable();
-            addrs
+            let results = net.agent_downcast_mut::<Scanner>(sid).unwrap().take_results();
+            results.records.iter().map(|r| r.addr).collect::<Vec<Ipv4Addr>>()
         };
         let dense = run(TargetSpace::Range);
         let sparse = run(TargetSpace::index((0..256).collect()));

@@ -2,36 +2,19 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
+use std::sync::OnceLock;
 
-use ofh_scan::probe::normalize_response;
-use ofh_scan::{classify_response, ztag, AddressPermutation, HostRecord, ScanResults};
+use ofh_devices::{DeviceRecord, Misconfig, PROFILES};
+use ofh_intel::Country;
+use ofh_net::{ip, Agent, NetCtx, Payload, SimNet, SimNetConfig, SimTime, SockAddr};
+use ofh_scan::probe::{normalize_response, udp_probe};
+use ofh_scan::{
+    classify_response, ztag, AddressPermutation, HostRecord, ScanCapture, ScanResults,
+};
+use ofh_wire::coap::Message;
 use ofh_wire::mqtt::{ConnectReturnCode, Packet};
 use ofh_wire::{amqp, coap, Protocol};
 use proptest::prelude::*;
-
-/// Disjoint per-shard datasets: a set of distinct (address, port) keys, each
-/// dealt to one of `shards` parts (some parts may stay empty).
-fn arb_disjoint_parts() -> impl Strategy<Value = Vec<ScanResults>> {
-    (
-        1usize..8,
-        prop::collection::vec(((0u32..64, 0u16..4), (any::<u8>(), "[a-z]{0,6}")), 0..150),
-    )
-        .prop_map(|(shards, records)| {
-            let keys: BTreeMap<(u32, u16), (u8, String)> = records.into_iter().collect();
-            let mut parts: Vec<ScanResults> =
-                (0..shards).map(|_| ScanResults::new("ZMap Scan")).collect();
-            for ((addr, port), (deal, response)) in keys {
-                parts[deal as usize % shards].insert(HostRecord::new(
-                    Ipv4Addr::from(0x0a00_0000 + addr),
-                    23 + port,
-                    Protocol::Telnet,
-                    response.as_str(),
-                    response.as_bytes(),
-                ));
-            }
-            parts
-        })
-}
 
 /// Raw responses as a scan receives them: wire-encoded CoAP, MQTT and AMQP
 /// frames, Telnet text with and without `$` and `root@` (one behind IAC
@@ -114,6 +97,86 @@ fn arb_grabs() -> impl Strategy<Value = Vec<(Ipv4Addr, u16, Protocol, Vec<u8>)>>
         })
 }
 
+/// The scanner's CoAP probe, sent with one message id to every target;
+/// keeps each reply.
+struct CoapProber {
+    targets: Vec<Ipv4Addr>,
+    message_id: u16,
+    replies: BTreeMap<Ipv4Addr, Vec<u8>>,
+}
+
+impl Agent for CoapProber {
+    fn on_boot(&mut self, ctx: &mut NetCtx<'_>) {
+        let probe = udp_probe(Protocol::Coap, self.message_id).expect("CoAP probe");
+        for &addr in &self.targets {
+            ctx.udp_send(40_000, SockAddr::new(addr, Protocol::Coap.port()), probe.clone());
+        }
+    }
+
+    fn on_udp(&mut self, _ctx: &mut NetCtx<'_>, _port: u16, peer: SockAddr, payload: &Payload) {
+        self.replies.insert(peer.addr, payload.to_vec());
+    }
+}
+
+/// What catalog-built CoAP devices answer the scanner's `/.well-known/core`
+/// probe carrying `message_id`: one device per catalog row (every profile,
+/// then none) and posture (configured, or one of the three CoAP
+/// misconfigurations).
+fn catalog_replies(message_id: u16) -> Vec<Vec<u8>> {
+    let postures = [
+        None,
+        Some(Misconfig::CoapReflection),
+        Some(Misconfig::CoapNoAuth),
+        Some(Misconfig::CoapNoAuthAdmin),
+    ];
+    let rows = PROFILES.iter().map(Some).chain([None]);
+    let mut net = SimNet::new(SimNetConfig::default());
+    let mut targets = Vec::new();
+    for (profile, misconfig) in rows.flat_map(|p| postures.map(|m| (p, m))) {
+        let addr = Ipv4Addr::from(u32::from(ip(16, 4, 0, 0)) + targets.len() as u32);
+        let device = DeviceRecord {
+            addr,
+            protocol: Protocol::Coap,
+            profile,
+            misconfig,
+            country: Country::Usa,
+            port: Protocol::Coap.port(),
+            default_creds: None,
+        };
+        net.attach(addr, device.build_agent());
+        targets.push(addr);
+    }
+    let prober = CoapProber {
+        targets,
+        message_id,
+        replies: BTreeMap::new(),
+    };
+    let id = net.attach(ip(16, 3, 0, 1), Box::new(prober));
+    net.run_until(SimTime(60_000));
+    let prober = net.agent_downcast::<CoapProber>(id).expect("prober");
+    assert_eq!(prober.replies.len(), prober.targets.len(), "a device did not answer");
+    prober.replies.values().cloned().collect()
+}
+
+/// Every catalog CoAP listing as sent with message id 0.
+fn catalog_listings() -> &'static [Vec<u8>] {
+    static LISTINGS: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+    LISTINGS.get_or_init(|| catalog_replies(0))
+}
+
+#[test]
+fn catalog_replies_differ_only_in_the_echoed_message_id() {
+    let id = 0xBEEF_u16;
+    for (zero, echoed) in catalog_listings().iter().zip(catalog_replies(id)) {
+        let mut patched = zero.clone();
+        patched[Message::MESSAGE_ID_RANGE].copy_from_slice(&id.to_be_bytes());
+        assert_eq!(patched, echoed);
+    }
+    let texts: BTreeSet<String> =
+        catalog_listings().iter().map(|raw| normalize_response(Protocol::Coap, raw)).collect();
+    assert!(texts.len() >= 4, "only {} distinct listings", texts.len());
+}
+
 #[test]
 fn pool_reuses_bytes_that_label_differently_per_protocol() {
     let text = |protocol| normalize_response(protocol, b"$ ");
@@ -124,22 +187,24 @@ fn pool_reuses_bytes_that_label_differently_per_protocol() {
 }
 
 proptest! {
-    /// Interning is invisible: every record `ScanResults::record` builds
-    /// equals the one-off record of its normalized response, carries the
-    /// labels the classifier and ZTag give that text, and exports and
-    /// re-imports identically. Records of one (protocol, raw) share one raw
-    /// buffer; the same bytes under two protocols do not.
+    /// Interning is invisible: every record a capture builds equals the
+    /// one-off record of its normalized response, carries the labels the
+    /// classifier and ZTag give that text, and exports and re-imports
+    /// identically. Records of one (protocol, raw) share one raw buffer;
+    /// the same bytes under two protocols do not.
     #[test]
     fn interned_records_match_one_off_records(grabs in arb_grabs()) {
-        let mut interned = ScanResults::new("ZMap Scan");
+        let mut capture = ScanCapture::new("ZMap Scan");
         let mut one_off = ScanResults::new("ZMap Scan");
         for (addr, port, protocol, raw) in &grabs {
-            interned.record(*addr, *port, *protocol, raw);
+            capture.record(*addr, *port, *protocol, raw);
             let text = normalize_response(*protocol, raw);
             one_off.insert(HostRecord::new(*addr, *port, *protocol, text, raw.as_slice()));
         }
+        prop_assert_eq!(capture.len(), grabs.len());
+        let interned = capture.seal();
         prop_assert_eq!(interned.len(), one_off.len());
-        for (got, want) in interned.records.values().zip(one_off.records.values()) {
+        for (got, want) in interned.records.iter().zip(&one_off.records) {
             prop_assert_eq!((got.addr, got.port, got.protocol), (want.addr, want.port, want.protocol));
             prop_assert_eq!(got.response(), want.response());
             prop_assert_eq!(got.raw(), want.raw());
@@ -150,7 +215,7 @@ proptest! {
         }
 
         let mut buffers: BTreeMap<&[u8], BTreeMap<Protocol, *const u8>> = BTreeMap::new();
-        for r in interned.records.values() {
+        for r in &interned.records {
             let first = buffers.entry(r.raw()).or_default().entry(r.protocol).or_insert(r.raw().as_ptr());
             prop_assert_eq!(*first, r.raw().as_ptr(), "a second buffer for one (protocol, raw)");
         }
@@ -165,17 +230,68 @@ proptest! {
         prop_assert_eq!(&back.records, &interned.records);
     }
 
-    /// The bulk merge equals folding the parts in with `BTreeMap::extend`,
-    /// the record-by-record union it replaced.
+    /// Capture, then seal, then merge equals inserting every grab, in
+    /// order, into one `BTreeMap` keyed by (address, port): sorted, one
+    /// record per key, the last grab of a key kept. The grabs are dealt to
+    /// shards as a study deals them: the owning shard is a function of the
+    /// address (here a random table over the 64 addresses, taken modulo the
+    /// shard count, so some parts stay empty), and an (address, port) may
+    /// be recorded twice, as fault duplicates are. The addresses spread
+    /// over the whole space and the ports include both extremes, so a key
+    /// that ordered by anything but (address, port) would show.
     #[test]
-    fn merge_matches_extend_fold(parts in arb_disjoint_parts()) {
-        let mut expected = BTreeMap::new();
-        for part in &parts {
-            expected.extend(part.records.clone());
+    fn capture_seal_merge_matches_map_insert(
+        shards in 1usize..9,
+        owner in prop::collection::vec(any::<u8>(), 64),
+        grabs in prop::collection::vec((0u32..64, 0u16..3, 0usize..64), 0..200),
+    ) {
+        let pool = response_pool();
+        let mut captures: Vec<ScanCapture> =
+            (0..shards).map(|_| ScanCapture::new("Project Sonar")).collect();
+        let mut oracle: BTreeMap<(Ipv4Addr, u16), HostRecord> = BTreeMap::new();
+        for &(host, port, response) in &grabs {
+            let addr = Ipv4Addr::from(host.wrapping_mul(0x9E37_79B9));
+            let port = [0, 23, u16::MAX][port as usize];
+            let (protocol, raw) = &pool[response % pool.len()];
+            captures[owner[host as usize] as usize % shards].record(addr, port, *protocol, raw);
+            let text = normalize_response(*protocol, raw);
+            oracle.insert((addr, port), HostRecord::new(addr, port, *protocol, text, raw.as_slice()));
         }
-        let merged = ScanResults::merge("ZMap Scan", parts);
-        prop_assert_eq!(merged.source.as_str(), "ZMap Scan");
-        prop_assert_eq!(merged.records, expected);
+        let merged = ScanResults::merge("Project Sonar", captures.into_iter().map(ScanCapture::seal));
+        prop_assert_eq!(merged.source.as_str(), "Project Sonar");
+        prop_assert_eq!(merged.records.to_vec(), oracle.into_values().collect::<Vec<_>>());
+    }
+
+    /// The CoAP label table is exact: records of every catalog listing,
+    /// three each, with random message ids and some with one more byte of
+    /// the header, token or options changed, equal their one-off records,
+    /// although the capture labels each listing once rather than once per
+    /// message id.
+    #[test]
+    fn coap_listings_label_as_one_off_records(
+        grabs in prop::collection::vec(
+            (any::<u16>(), prop::option::of((0usize..8, any::<u8>()))),
+            3 * catalog_listings().len(),
+        ),
+    ) {
+        let listings = catalog_listings();
+        let mut capture = ScanCapture::new("ZMap Scan");
+        let mut oracle = ScanResults::new("ZMap Scan");
+        for (i, (message_id, edit)) in grabs.into_iter().enumerate() {
+            let mut raw = listings[i % listings.len()].clone();
+            raw[Message::MESSAGE_ID_RANGE].copy_from_slice(&message_id.to_be_bytes());
+            if let Some((at, value)) = edit {
+                if let Some(byte) = raw.get_mut(at) {
+                    *byte = value;
+                }
+            }
+            let addr = Ipv4Addr::from(0x0a00_0000 + i as u32);
+            let port = Protocol::Coap.port();
+            capture.record(addr, port, Protocol::Coap, &raw);
+            let text = normalize_response(Protocol::Coap, &raw);
+            oracle.insert(HostRecord::new(addr, port, Protocol::Coap, text, raw));
+        }
+        prop_assert_eq!(capture.seal().records, oracle.records);
     }
 
     /// The address permutation is a bijection over arbitrary sizes.

@@ -68,7 +68,7 @@ fn build_scan_table(input: &StoreInput<'_>) -> Vec<u8> {
     let mut hp_filtered: Vec<bool> = Vec::with_capacity(rows);
 
     for results in sources {
-        for record in results.records.values() {
+        for record in &results.records {
             source.push(&results.source);
             addrs.push(u32::from(record.addr));
             ports.push(record.port);
@@ -197,7 +197,7 @@ fn build_telescope_table(input: &StoreInput<'_>) -> Vec<u8> {
         srcs.push(u32::from(ft.src_ip));
         dst_ports.push(ft.dst_port);
         protocol.push(ft.target_protocol().map(|p| p.name()).unwrap_or(NONE_LABEL));
-        country.push(&ft.country);
+        country.push(ft.country.as_str());
         asns.push(asn_plus1(ft.asn));
         packet_cnts.push(ft.packet_cnt);
         spoofed.push(ft.is_spoofed);

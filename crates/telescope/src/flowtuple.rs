@@ -2,8 +2,9 @@
 
 use std::net::Ipv4Addr;
 
+use ofh_intel::Country;
 use ofh_net::{FlowObservation, SimTime, Transport};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// Masscan's characteristic SYN window (how `is_masscan` is derived).
 pub const MASSCAN_SYN_WINDOW: u16 = 1024;
@@ -28,7 +29,7 @@ pub struct FlowTuple {
     /// Packets aggregated into this flow record.
     pub packet_cnt: u32,
     /// Source country code (from the geolocation database).
-    pub country: String,
+    pub country: CountryCode,
     /// Source ASN, when known.
     pub asn: Option<u32>,
     pub is_spoofed: bool,
@@ -37,7 +38,11 @@ pub struct FlowTuple {
 
 impl FlowTuple {
     /// Build a record from a raw observation plus geo metadata.
-    pub fn from_observation(obs: &FlowObservation, country: &str, asn: Option<u32>) -> FlowTuple {
+    pub fn from_observation(
+        obs: &FlowObservation,
+        country: &'static str,
+        asn: Option<u32>,
+    ) -> FlowTuple {
         let is_syn = obs.transport == Transport::Tcp && obs.tcp_flags & FlowObservation::SYN != 0;
         FlowTuple {
             time: obs.time,
@@ -52,7 +57,7 @@ impl FlowTuple {
             tcp_syn_len: if is_syn { obs.ip_len } else { 0 },
             tcp_syn_window: if is_syn { obs.tcp_window } else { 0 },
             packet_cnt: 1,
-            country: country.to_string(),
+            country: CountryCode(country),
             asn,
             is_spoofed: obs.spoofed,
             is_masscan: is_syn && obs.tcp_window == MASSCAN_SYN_WINDOW,
@@ -62,6 +67,36 @@ impl FlowTuple {
     /// The studied protocol this flow targets, if any (by destination port).
     pub fn target_protocol(&self) -> Option<ofh_wire::Protocol> {
         ofh_wire::Protocol::from_port(self.dst_port)
+    }
+}
+
+/// A country code as [`Country::code`] spells it, held as that static
+/// string, so a flow carries it without a heap block of its own. Its JSON is
+/// the bare code; reading one back accepts only a code of a [`Country`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CountryCode(&'static str);
+
+impl CountryCode {
+    pub fn as_str(self) -> &'static str {
+        self.0
+    }
+}
+
+impl Serialize for CountryCode {
+    fn to_value(&self) -> Value {
+        self.0.to_value()
+    }
+}
+
+impl Deserialize for CountryCode {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let code = String::from_value(v)?;
+        Country::ALL
+            .iter()
+            .map(|c| c.code())
+            .find(|&c| c == code)
+            .map(CountryCode)
+            .ok_or_else(|| DeError::custom(format!("unknown country code {code:?}")))
     }
 }
 
@@ -132,7 +167,10 @@ mod tests {
             Some(3320),
         );
         let json = serde_json::to_string(&ft).unwrap();
+        assert!(json.contains(r#""country":"US""#), "{json}");
         let back: FlowTuple = serde_json::from_str(&json).unwrap();
         assert_eq!(back, ft);
+        let unknown = json.replace(r#""country":"US""#, r#""country":"ZZ""#);
+        assert!(serde_json::from_str::<FlowTuple>(&unknown).is_err());
     }
 }

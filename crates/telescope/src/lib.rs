@@ -22,5 +22,5 @@ pub mod flowtuple;
 pub mod telescope;
 
 pub use aggregate::{DailyProtocolStats, TelescopeSummary};
-pub use flowtuple::FlowTuple;
+pub use flowtuple::{CountryCode, FlowTuple};
 pub use telescope::Telescope;

@@ -231,7 +231,7 @@ mod tests {
         let mut t = Telescope::new(geo);
         t.observe(&obs_at(0, 23));
         let rec = &t.minute_file(0)[0];
-        assert_eq!(rec.country, "DE");
+        assert_eq!(rec.country.as_str(), "DE");
         assert_eq!(rec.asn, Some(3320));
     }
 }

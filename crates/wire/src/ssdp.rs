@@ -23,6 +23,18 @@ pub fn msearch_all() -> String {
         .to_string()
 }
 
+/// Whether `text` is an M-SEARCH discovery probe: exactly the texts for
+/// which `SsdpMessage::parse(text).is_ok_and(|m| m.is_msearch())` holds,
+/// checked on borrowed lines without building the message. A device answers
+/// every datagram it receives through this check.
+pub fn is_msearch(text: &str) -> bool {
+    let mut lines = text.split("\r\n");
+    let start_line = lines.next().unwrap_or_default();
+    start_line.starts_with("M-SEARCH")
+        && (start_line.contains("HTTP/1.1") || start_line.contains("HTTP/1.0"))
+        && lines.take_while(|line| !line.is_empty()).all(|line| line.contains(':'))
+}
+
 /// An SSDP message: start line plus ordered headers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SsdpMessage {

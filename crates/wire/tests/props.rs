@@ -225,6 +225,104 @@ proptest! {
     }
 }
 
+// ---- the borrowing M-SEARCH check ----
+
+/// SSDP datagrams: the scanner's probe, a device's discovery reply, or a
+/// start line and header lines drawn from probe-like and broken ones,
+/// joined by CRLF, sometimes with a blank line and a body after them.
+fn arb_ssdp_text() -> impl Strategy<Value = String> {
+    let reply = ssdp::SsdpMessage::discovery_response("Linux UPnP/1.0", "1234", "http://h/d.xml");
+    let built = (
+        prop::sample::select(vec![
+            "M-SEARCH * HTTP/1.1",
+            "M-SEARCH * HTTP/1.0",
+            "M-SEARCH *",
+            "M-SEARCH * HTTP/2",
+            "M-SEARCHING HTTP/1.1",
+            "m-search * HTTP/1.1",
+            " M-SEARCH * HTTP/1.1",
+            "NOTIFY * HTTP/1.1",
+            "HTTP/1.1 200 OK",
+            "",
+        ]),
+        prop::collection::vec(
+            prop::sample::select(vec![
+                "HOST: 239.255.255.250:1900",
+                "MAN: \"ssdp:discover\"",
+                "MX: 3",
+                "ST: ssdp:all",
+                "ST:",
+                ":",
+                "no colon",
+                "",
+            ]),
+            0..6,
+        ),
+        "[ -~]{0,12}",
+    )
+        .prop_map(|(start, headers, body)| {
+            let mut text = start.to_string();
+            for h in headers {
+                text.push_str("\r\n");
+                text.push_str(h);
+            }
+            text.push_str("\r\n\r\n");
+            text.push_str(&body);
+            text
+        });
+    prop_oneof![Just(ssdp::msearch_all()), Just(reply.render()), built]
+}
+
+/// `text` with each edit applied at a char position taken modulo its
+/// length: replace (0), insert (1) or delete (2).
+fn edit(text: &str, edits: &[(usize, char, u8)]) -> String {
+    let mut chars: Vec<char> = text.chars().collect();
+    for &(at, c, op) in edits {
+        let at = at % (chars.len() + 1);
+        match op {
+            0 if at < chars.len() => chars[at] = c,
+            2 if at < chars.len() => {
+                chars.remove(at);
+            }
+            _ => chars.insert(at, c),
+        }
+    }
+    chars.into_iter().collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `ssdp::is_msearch` accepts exactly what parsing and then asking the
+    /// message accepts, on valid datagrams and on mutated ones.
+    #[test]
+    fn msearch_check_matches_parse(
+        text in arb_ssdp_text(),
+        edits in prop::collection::vec(
+            (
+                any::<usize>(),
+                prop::sample::select(vec!['\r', '\n', ':', ' ', 'M', '-', 'H', '1', '0', 'x']),
+                0u8..3,
+            ),
+            0..4,
+        ),
+    ) {
+        let text = edit(&text, &edits);
+        let parsed = ssdp::SsdpMessage::parse(&text).is_ok_and(|m| m.is_msearch());
+        prop_assert_eq!(ssdp::is_msearch(&text), parsed, "{:?}", text);
+    }
+}
+
+#[test]
+fn msearch_check_sees_both_answers() {
+    assert!(ssdp::is_msearch(&ssdp::msearch_all()));
+    assert!(ssdp::is_msearch("M-SEARCH * HTTP/1.1"));
+    assert!(!ssdp::is_msearch("M-SEARCH * HTTP/1.1\r\nno colon\r\n\r\n"));
+    assert!(ssdp::is_msearch("M-SEARCH * HTTP/1.1\r\n\r\nno colon after the blank line"));
+    assert!(!ssdp::is_msearch("NOTIFY * HTTP/1.1\r\nNT: upnp:rootdevice\r\n\r\n"));
+    assert!(!ssdp::is_msearch("M-SEARCH *\r\nST: ssdp:all\r\n\r\n"));
+}
+
 // ---- decode never panics on arbitrary bytes ----
 
 proptest! {

@@ -71,7 +71,7 @@ fn main() {
     let scanner_addr = universe.scanner_addr();
     let zmap = net.attach(scanner_addr, Box::new(scanner));
     net.run_until(end);
-    let results = net.agent_downcast_mut::<Scanner>(zmap).unwrap().results.clone();
+    let results = net.agent_downcast_mut::<Scanner>(zmap).unwrap().take_results();
 
     // Stage 1 (passive): signature matching over raw banners.
     let db = SignatureDb::new();

@@ -78,9 +78,9 @@ fn main() {
         )),
     );
     net.run_until(scan_end);
-    let zmap_results = net.agent_downcast_mut::<Scanner>(zmap).unwrap().results.clone();
-    let sonar_results = net.agent_downcast_mut::<Scanner>(sonar).unwrap().results.clone();
-    let shodan_results = net.agent_downcast_mut::<Scanner>(shodan).unwrap().results.clone();
+    let zmap_results = net.agent_downcast_mut::<Scanner>(zmap).unwrap().take_results();
+    let sonar_results = net.agent_downcast_mut::<Scanner>(sonar).unwrap().take_results();
+    let shodan_results = net.agent_downcast_mut::<Scanner>(shodan).unwrap().take_results();
     println!(
         "\nscan finished at {} after {} probes",
         net.now(),

@@ -79,7 +79,7 @@ fn main() {
         let found = net
             .agent_downcast_mut::<Scanner>(id)
             .unwrap()
-            .results
+            .take_results()
             .unique_addrs(Protocol::Telnet);
         println!(
             "vantage-{v}: sees {:>5} hosts ({:.1}% — one third of the space filters it)",

@@ -27,7 +27,7 @@ fn run_scan(seed: u64, scale: u64) -> (ofh_core::devices::population::Population
     let end = scanner.estimated_end();
     let id = net.attach(universe.scanner_addr(), Box::new(scanner));
     net.run_until(end);
-    let results = net.agent_downcast_mut::<Scanner>(id).unwrap().results.clone();
+    let results = net.agent_downcast_mut::<Scanner>(id).unwrap().take_results();
     (population, results)
 }
 
@@ -44,8 +44,7 @@ fn scan_recovers_every_device_and_classification() {
     // device by device.
     for record in &population.records {
         let scanned = results
-            .records
-            .get(&(record.addr, record.port))
+            .get(record.addr, record.port)
             .unwrap_or_else(|| panic!("{} ({:?}) not scanned", record.addr, record.protocol));
         assert_eq!(
             scanned.misconfig(),
@@ -81,7 +80,7 @@ fn device_typing_recovers_profiles() {
             continue;
         }
         total_with_profile += 1;
-        let scanned = results.records.get(&(record.addr, record.port)).unwrap();
+        let scanned = results.get(record.addr, record.port).unwrap();
         if let Some(found) = scanned.device() {
             assert_eq!(found.name, profile.name, "{}", record.addr);
             typed += 1;

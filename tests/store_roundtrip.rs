@@ -154,9 +154,10 @@ fn store_counts_match_in_memory_tallies() {
 
     // Every stored zmap record is reachable by point lookup, with the port
     // and protocol it was stored under.
-    for ((addr, port), record) in report.zmap_results.records.iter().take(50) {
+    for record in report.zmap_results.records.iter().take(50) {
+        let (addr, port) = (record.addr, record.port);
         let hits = match reader
-            .execute(&Query::HostLookup { addr: *addr })
+            .execute(&Query::HostLookup { addr })
             .expect("lookup executes")
         {
             Answer::Hosts(hits) => hits,
@@ -164,7 +165,7 @@ fn store_counts_match_in_memory_tallies() {
         };
         let hit = hits
             .iter()
-            .find(|h| h.source == "ZMap Scan" && h.port == *port)
+            .find(|h| h.source == "ZMap Scan" && h.port == port)
             .unwrap_or_else(|| panic!("no zmap hit for {addr}:{port}"));
         assert_eq!(hit.protocol, record.protocol.name());
     }
